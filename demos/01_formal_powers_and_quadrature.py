@@ -57,8 +57,7 @@ print("=" * 70)
 mesh1 = build_mesh(Interval(0.0, 1.0), [Piece(0.0, 1.0, parse("1"), parse("0"), parse("1"))], 100)
 p, q, r = sample_coefficients([Piece(0.0, 1.0, parse("1"), parse("0"), parse("1"))], mesh1)
 ones = constant_function(mesh1, 1.0)
-zeros = constant_function(mesh1, 0.0)
-powers = compute_formal_powers(ones, zeros, p, r, 0, 6)
+powers = compute_formal_powers(ones, p, r, 0, 6)
 print("with unit coefficients and f == 1 both families collapse to x^n/n!:")
 for n in range(0, 7, 2):
     err = np.abs(powers.tilde[n] - mesh1.xs**n / math.factorial(n)).max()

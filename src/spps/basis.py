@@ -21,7 +21,7 @@ combination, and rebuilds the powers on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,11 +73,18 @@ class ParticularSolution:
 
 @dataclass(frozen=True)
 class SppsBasis:
+    """Formal powers on a particular solution, centred at its lambda*.
+
+    ``shift_tail`` is the truncation tail of the basis this one was shifted
+    from, evaluated at the new center (0.0 for a basis built directly).
+    """
+
     particular: ParticularSolution
     powers: FormalPowerSet
     center: complex
     n_terms: int
     samples: ProblemSamples
+    shift_tail: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -162,9 +169,8 @@ def build_seed_solution(samples, n_terms):
     """
     mesh = samples.mesh
     ones = constant_function(mesh, 1.0)
-    zeros = constant_function(mesh, 0.0)
     seed_r = SampledFunction(mesh, -samples.q.values)
-    fp = compute_formal_powers(ones, zeros, samples.p, seed_r, 0, n_terms)
+    fp = compute_formal_powers(ones, samples.p, seed_r, 0, n_terms)
 
     # series sums at lambda = 1: plain Kahan-free sums are fine, the terms
     # decay factorially
@@ -207,9 +213,7 @@ def build_seed_solution(samples, n_terms):
 def build_basis(particular, samples, n_terms):
     """Formal powers on weights r f^2 and 1/(p f^2), centred at lambda*."""
     verify_particular(samples, particular)
-    powers = compute_formal_powers(
-        particular.f, particular.pf_prime, samples.p, samples.r, 0, n_terms
-    )
+    powers = compute_formal_powers(particular.f, samples.p, samples.r, 0, n_terms)
     return SppsBasis(
         particular=particular,
         powers=powers,
@@ -298,8 +302,10 @@ def shift_basis(basis, new_center, combination=None):
     """Recentre the basis at ``new_center``.
 
     Evaluates both solutions there, picks the combination c1*u1 + c2*u2
-    maximising min|f*|/max|f*| (or uses ``combination`` verbatim), verifies
-    the recentred particular solution, and rebuilds the powers with it.
+    maximising min|f*|/max|f*| (or uses ``combination`` verbatim), and
+    rebuilds the powers on it; ``build_basis`` verifies the recentred
+    particular solution.  The returned basis carries the series tail at
+    ``new_center`` as ``shift_tail``.
     """
     new_center = complex(new_center)
     s1 = evaluate_solution(basis, new_center, "first")
@@ -342,7 +348,7 @@ def shift_basis(basis, new_center, combination=None):
         min_abs=float(np.abs(fv).min()),
     )
     try:
-        verify_particular(basis.samples, ps)
+        shifted = build_basis(ps, basis.samples, basis.n_terms)
     except ParticularResidualError as exc:
         # the recentred solution does not satisfy its equation to tolerance:
         # the shift itself failed (accumulated roundoff or resolution limit)
@@ -350,7 +356,7 @@ def shift_basis(basis, new_center, combination=None):
             f"shift from {basis.center} to {new_center} lost accuracy: {exc}; "
             "use a smaller displacement, more series terms, or a finer mesh"
         ) from exc
-    return build_basis(ps, basis.samples, basis.n_terms)
+    return replace(shifted, shift_tail=tail)
 
 
 def truncation_residual(basis, lam, which="first"):

@@ -73,12 +73,10 @@ class BoundConstants:
     c2: float
 
 
-def compute_formal_powers(f, pf_prime, p, r, anchor_slot, n_terms):
+def compute_formal_powers(f, p, r, anchor_slot, n_terms):
     """Build both families up to index 2*n_terms + 1.
 
-    ``pf_prime`` is carried for interface symmetry with the basis
-    construction; the recursion itself needs only f, p and r.  ``f`` must
-    be nonvanishing at every node, otherwise 1/(p f^2) blows up.
+    ``f`` must be nonvanishing at every node, otherwise 1/(p f^2) blows up.
     """
     if n_terms < 0:
         raise ValueError(f"n_terms must be >= 0, got {n_terms}")

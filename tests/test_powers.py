@@ -22,8 +22,7 @@ from util import unit_samples
 def _unit_powers(n_terms, m=200):
     s = unit_samples(m)
     ones = constant_function(s.mesh, 1.0)
-    zeros = constant_function(s.mesh, 0.0)
-    return s, compute_formal_powers(ones, zeros, s.p, s.r, 0, n_terms)
+    return s, compute_formal_powers(ones, s.p, s.r, 0, n_terms)
 
 
 def test_unit_problem_powers_are_monomials():
@@ -45,9 +44,8 @@ def test_anchor_zeros_are_exact():
 def test_interior_anchor_zeros_exact():
     s = unit_samples(100, a=-1.0, b=1.0)
     ones = constant_function(s.mesh, 1.0)
-    zeros = constant_function(s.mesh, 0.0)
     mid = s.mesh.slot_of(0.0)
-    fp = compute_formal_powers(ones, zeros, s.p, s.r, mid, 3)
+    fp = compute_formal_powers(ones, s.p, s.r, mid, 3)
     for n in range(1, fp.n_max + 1):
         assert fp.tilde[n][mid] == 0.0
 
@@ -60,10 +58,9 @@ def test_even_series_sums_to_cosh():
 
 def test_scaling_covariance():
     s = unit_samples(120)
-    zeros = constant_function(s.mesh, 0.0)
-    base = compute_formal_powers(constant_function(s.mesh, 1.0), zeros, s.p, s.r, 0, 4)
+    base = compute_formal_powers(constant_function(s.mesh, 1.0), s.p, s.r, 0, 4)
     for c in (2.0, 1j):
-        scaled = compute_formal_powers(constant_function(s.mesh, c), zeros, s.p, s.r, 0, 4)
+        scaled = compute_formal_powers(constant_function(s.mesh, c), s.p, s.r, 0, 4)
         for n in range(0, base.n_max + 1, 2):
             assert np.abs(scaled.tilde[n] - base.tilde[n]).max() <= 1e-13
             assert np.abs(scaled.plain[n] - base.plain[n]).max() <= 1e-13
@@ -81,13 +78,12 @@ def test_interleaving_identity():
     pieces_b = [Piece(0.0, 1.0, parse("1/(1 + x^2)"), parse("0"), parse("2 + x"))]
     mesh = build_mesh(interval, pieces_a, 100)
     ones = constant_function(mesh, 1.0)
-    zeros = constant_function(mesh, 0.0)
     pa, _, ra = sample_coefficients(pieces_a, mesh)
     pb, _, rb = sample_coefficients(pieces_b, build_mesh(interval, pieces_b, 100))
     pb = SampledFunction(mesh, pb.values)
     rb = SampledFunction(mesh, rb.values)
-    fa = compute_formal_powers(ones, zeros, pa, ra, 0, 3)
-    fb = compute_formal_powers(ones, zeros, pb, rb, 0, 3)
+    fa = compute_formal_powers(ones, pa, ra, 0, 3)
+    fb = compute_formal_powers(ones, pb, rb, 0, 3)
     assert np.abs(fa.tilde - fb.plain).max() <= 1e-14
     assert np.abs(fa.plain - fb.tilde).max() <= 1e-14
 
@@ -96,16 +92,15 @@ def test_vanishing_f_rejected_with_location():
     s = unit_samples(50)
     f_vals = s.mesh.xs - 0.5  # zero at the node 0.5
     f = SampledFunction(s.mesh, f_vals.astype(complex))
-    zeros = constant_function(s.mesh, 0.0)
     with pytest.raises(NonvanishingError, match="x=0.5"):
-        compute_formal_powers(f, zeros, s.p, s.r, 0, 2)
+        compute_formal_powers(f, s.p, s.r, 0, 2)
 
 
 def test_negative_order_rejected():
     s = unit_samples(50)
     ones = constant_function(s.mesh, 1.0)
     with pytest.raises(ValueError):
-        compute_formal_powers(ones, ones, s.p, s.r, 0, -1)
+        compute_formal_powers(ones, s.p, s.r, 0, -1)
 
 
 def test_bounds_unit_problem():

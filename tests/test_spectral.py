@@ -1,9 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from spps.basis import build_basis, shift_basis
+from spps import basis as basis_module
+from spps import spectral as spectral_module
+from spps.basis import SppsBasis, build_basis, shift_basis
 from spps.errors import (
     ConfigurationError,
     ContourError,
@@ -363,6 +366,47 @@ def test_sweep_stalls_with_tiny_truncation():
     problem = with_overrides(plain_problem(n_terms=3, m=200), max_eigenvalues=3)
     with pytest.raises(SweepStalledError):
         sweep_eigenvalues(problem)
+
+
+def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, monkeypatch):
+    problem = bundled_problem("trivial")
+    assert problem.solver.delta == 0
+    config, _, _, _, start = prepare(problem)
+
+    calls = {"build_basis": 0, "shift_basis": 0, "evaluate_solution": 0, "verify_particular": 0}
+    alive = []
+    most_alive_at_build = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "build_basis":
+                most_alive_at_build.append(sum(ref() is not None for ref in alive))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        for module in (basis_module, spectral_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+    original_init = SppsBasis.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(SppsBasis, "__init__", tracked_init)
+
+    records = sweep_eigenvalues(problem, config, particular=start)
+    assert len(records) == 2
+    assert calls["verify_particular"] == calls["build_basis"]
+    assert calls["evaluate_solution"] == 2 * calls["shift_basis"]
+    # a validation shift per eigenvalue plus the re-expansion at each refined
+    # value (the first build is the start basis, the last eigenvalue needs none)
+    assert calls["build_basis"] == 2 * len(records)
+    assert max(most_alive_at_build) <= 1
 
 
 def test_trust_radius_monotone_in_tolerance():
