@@ -32,7 +32,7 @@ pieces = [
 ]
 mesh = build_mesh(Interval(-1.0, 1.0), pieces, 20)
 print(f"requested 20 subintervals, effective {mesh.n_subintervals}")
-print(f"{mesh.nodes.size} distinct nodes, {mesh.n_slots} storage slots")
+print(f"{mesh.n_subintervals + 1} distinct nodes, {mesh.n_slots} storage slots")
 print("the breakpoint at 0 owns two slots (left-side and right-side value):",
       mesh.breakpoint_slots)
 
@@ -43,7 +43,7 @@ print("=" * 70)
 
 # integrand jumps from 0 to 1 at x = 0; its antiderivative is continuous
 step = np.where(np.arange(mesh.n_slots) <= mesh.breakpoint_slots[0][0], 0.0, 1.0)
-anti = indefinite_integral(SampledFunction(mesh, step.astype(complex)), 0)
+anti = indefinite_integral(SampledFunction(mesh, step.astype(complex)))
 left, right = mesh.breakpoint_slots[0]
 print(f"antiderivative at the jump: left slot {anti.values[left].real:.6f}, "
       f"right slot {anti.values[right].real:.6f} (identical)")
@@ -57,7 +57,7 @@ print("=" * 70)
 mesh1 = build_mesh(Interval(0.0, 1.0), [Piece(0.0, 1.0, parse("1"), parse("0"), parse("1"))], 100)
 p, q, r = sample_coefficients([Piece(0.0, 1.0, parse("1"), parse("0"), parse("1"))], mesh1)
 ones = constant_function(mesh1, 1.0)
-powers = compute_formal_powers(ones, p, r, 0, 6)
+powers = compute_formal_powers(ones, p, r, 6)
 print("with unit coefficients and f == 1 both families collapse to x^n/n!:")
 for n in range(0, 7, 2):
     err = np.abs(powers.tilde[n] - mesh1.xs**n / math.factorial(n)).max()

@@ -68,7 +68,11 @@ class ParticularSolution:
     f: SampledFunction
     pf_prime: SampledFunction
     lambda_star: complex
-    min_abs: float
+
+    @property
+    def min_abs(self):
+        """min |f| over the mesh."""
+        return float(np.abs(self.f.values).min())
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,18 @@ class SppsBasis:
 
     particular: ParticularSolution
     powers: FormalPowerSet
-    center: complex
-    n_terms: int
     samples: ProblemSamples
     shift_tail: float = 0.0
+
+    @property
+    def center(self):
+        """The series center: lambda* of the particular solution."""
+        return self.particular.lambda_star
+
+    @property
+    def n_terms(self):
+        """N: the truncation order of the powers."""
+        return self.powers.n_terms
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,6 @@ class SolutionSample:
 
     u: SampledFunction
     pu_prime: SampledFunction
-    lam: complex
     truncation_tail: float
 
 
@@ -104,18 +115,18 @@ def particular_residual(samples, ps):
     the quasi-derivative it claims.  Also returns the scale max|pf'|.
     """
     integrand = (samples.q.values - ps.lambda_star * samples.r.values) * ps.f.values
-    acc = indefinite_integral(SampledFunction(samples.mesh, integrand), 0)
+    acc = indefinite_integral(SampledFunction(samples.mesh, integrand))
     res = ps.pf_prime.values - ps.pf_prime.values[0] + acc.values
     scale = float(np.abs(ps.pf_prime.values).max())
     return float(np.abs(res).max()), scale
 
 
-def verify_particular(samples, ps, tol_factor=RESIDUAL_TOL_FACTOR):
+def verify_particular(samples, ps):
     residual, scale = particular_residual(samples, ps)
-    if residual > tol_factor * scale + 1e-300:
+    if residual > RESIDUAL_TOL_FACTOR * scale + 1e-300:
         raise ParticularResidualError(
             f"particular solution residual {residual:.3e} exceeds "
-            f"{tol_factor:.0e} * scale (scale={scale:.3e}, center={ps.lambda_star})"
+            f"{RESIDUAL_TOL_FACTOR:.0e} * scale (scale={scale:.3e}, center={ps.lambda_star})"
         )
     return residual
 
@@ -140,16 +151,15 @@ def _reconciled(mesh, values, what, tol=1e-9):
     return out
 
 
-def particular_from_samples(samples, f, pf_prime, lambda_star=0.0):
-    """Wrap sampled f, pf' into a verified ParticularSolution."""
+def particular_from_samples(samples, f, pf_prime):
+    """Wrap sampled f, pf' at lambda* = 0 into a verified ParticularSolution."""
     mesh = samples.mesh
     fv = _reconciled(mesh, f.values, "particular solution")
     pv = _reconciled(mesh, pf_prime.values, "quasi-derivative")
     ps = ParticularSolution(
         f=SampledFunction(mesh, fv),
         pf_prime=SampledFunction(mesh, pv),
-        lambda_star=complex(lambda_star),
-        min_abs=float(np.abs(fv).min()),
+        lambda_star=0j,
     )
     if ps.min_abs <= EPS_F_FACTOR * float(np.abs(fv).max()):
         k = int(np.argmin(np.abs(fv)))
@@ -170,7 +180,7 @@ def build_seed_solution(samples, n_terms):
     mesh = samples.mesh
     ones = constant_function(mesh, 1.0)
     seed_r = SampledFunction(mesh, -samples.q.values)
-    fp = compute_formal_powers(ones, samples.p, seed_r, 0, n_terms)
+    fp = compute_formal_powers(ones, samples.p, seed_r, n_terms)
 
     # series sums at lambda = 1: plain Kahan-free sums are fine, the terms
     # decay factorially
@@ -192,7 +202,6 @@ def build_seed_solution(samples, n_terms):
             f=SampledFunction(mesh, fv),
             pf_prime=SampledFunction(mesh, c1 * py1 + c2 * py2),
             lambda_star=0.0,
-            min_abs=float(np.abs(fv).min()),
         )
         try:
             verify_particular(samples, ps)
@@ -213,14 +222,8 @@ def build_seed_solution(samples, n_terms):
 def build_basis(particular, samples, n_terms):
     """Formal powers on weights r f^2 and 1/(p f^2), centred at lambda*."""
     verify_particular(samples, particular)
-    powers = compute_formal_powers(particular.f, samples.p, samples.r, 0, n_terms)
-    return SppsBasis(
-        particular=particular,
-        powers=powers,
-        center=particular.lambda_star,
-        n_terms=n_terms,
-        samples=samples,
-    )
+    powers = compute_formal_powers(particular.f, samples.p, samples.r, n_terms)
+    return SppsBasis(particular=particular, powers=powers, samples=samples)
 
 
 def _horner_rows(rows, mu, count):
@@ -271,7 +274,6 @@ def evaluate_solution(basis, lam, which="first", n_terms=None):
     return SolutionSample(
         u=SampledFunction(mesh, u),
         pu_prime=SampledFunction(mesh, pu),
-        lam=complex(lam),
         truncation_tail=tail,
     )
 
@@ -345,7 +347,6 @@ def shift_basis(basis, new_center, combination=None):
         f=SampledFunction(mesh, fv),
         pf_prime=SampledFunction(mesh, pfv),
         lambda_star=new_center,
-        min_abs=float(np.abs(fv).min()),
     )
     try:
         shifted = build_basis(ps, basis.samples, basis.n_terms)
@@ -375,6 +376,6 @@ def truncation_residual(basis, lam, which="first"):
     integrand = mu * samples.r.values * prev.u.values - (
         samples.q.values - basis.center * samples.r.values
     ) * full.u.values
-    acc = indefinite_integral(SampledFunction(samples.mesh, integrand), 0)
+    acc = indefinite_integral(SampledFunction(samples.mesh, integrand))
     res = full.pu_prime.values - full.pu_prime.values[0] - acc.values
     return float(np.abs(res).max())

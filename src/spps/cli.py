@@ -33,6 +33,7 @@ from .problems import (
 )
 from .shooting import shoot
 from .spectral import (
+    POLICIES,
     assemble_characteristic,
     count_zeros,
     landscape,
@@ -56,7 +57,7 @@ def _add_common_overrides(parser):
     parser.add_argument(
         "--policy",
         default=None,
-        choices=["always_previous", "previous_if_upper_half", "fixed_center"],
+        choices=POLICIES,
         help="shift schedule policy",
     )
     parser.add_argument("--max-eigs", type=int, default=None, help="stop after this many eigenvalues")

@@ -73,7 +73,6 @@ class Mesh:
 
     Attributes:
         interval: the underlying interval [a, b].
-        nodes: strictly increasing distinct node coordinates (breakpoints once).
         piece_bounds: (lo, hi) per piece.
         piece_nsub: subinterval count per piece (each a positive multiple of 5).
         offsets: slot index of each piece's first node in the expanded grid.
@@ -82,7 +81,6 @@ class Mesh:
     """
 
     interval: Interval
-    nodes: np.ndarray
     piece_bounds: tuple
     piece_nsub: tuple
     offsets: tuple
@@ -92,7 +90,6 @@ class Mesh:
     panel_h: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.nodes.flags.writeable = False
         self.xs.flags.writeable = False
         self.panel_index.flags.writeable = False
         self.panel_h.flags.writeable = False
@@ -106,16 +103,6 @@ class Mesh:
         """Effective M: total subinterval count across all pieces."""
         return int(sum(self.piece_nsub))
 
-    @property
-    def breakpoint_node_indices(self):
-        """Indices into ``nodes`` of the interior piece boundaries."""
-        acc = 0
-        out = []
-        for count in self.piece_nsub[:-1]:
-            acc += count
-            out.append(acc)
-        return tuple(out)
-
     def piece_slice(self, i):
         """Slot slice covering piece ``i`` (both endpoints included)."""
         start = self.offsets[i]
@@ -125,10 +112,10 @@ class Mesh:
         lo, hi = self.piece_bounds[i]
         return (hi - lo) / self.piece_nsub[i]
 
-    def slot_of(self, x, tol=1e-9):
+    def slot_of(self, x):
         """Slot index of the mesh node at coordinate ``x`` (left slot if doubled)."""
         k = int(np.argmin(np.abs(self.xs - x)))
-        if abs(self.xs[k] - x) > tol * (1.0 + abs(x)):
+        if abs(self.xs[k] - x) > 1e-9 * (1.0 + abs(x)):
             raise MeshError(f"x={x} is not a mesh node")
         return k
 
@@ -197,7 +184,6 @@ def build_mesh(interval, pieces, m):
         pos += count + 1
 
     xs = np.concatenate(xs_parts)
-    nodes = np.concatenate([xs_parts[0]] + [part[1:] for part in xs_parts[1:]])
     breakpoint_slots = tuple(
         (offsets[i] + nsub[i], offsets[i + 1]) for i in range(len(pieces) - 1)
     )
@@ -211,7 +197,6 @@ def build_mesh(interval, pieces, m):
 
     return Mesh(
         interval=interval,
-        nodes=nodes,
         piece_bounds=bounds,
         piece_nsub=tuple(nsub),
         offsets=tuple(offsets),

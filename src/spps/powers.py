@@ -1,7 +1,7 @@
 """The two interleaved families of formal powers.
 
 Starting from the constant 1, members are produced by alternately
-integrating against the weights r*f^2 and 1/(p*f^2), anchored at x0.  The
+integrating against the weights r*f^2 and 1/(p*f^2), anchored at a.  The
 first family starts with the r-weight on odd indices; the second family
 starts with the 1/p-weight.  These functions are the lambda-series
 coefficients of the two basis solutions.
@@ -46,7 +46,6 @@ class FormalPowerSet:
     mesh: Mesh
     tilde: np.ndarray = field(repr=False)
     plain: np.ndarray = field(repr=False)
-    anchor_slot: int
     n_max: int
     weight_r: np.ndarray = field(repr=False)
     weight_p: np.ndarray = field(repr=False)
@@ -60,12 +59,6 @@ class FormalPowerSet:
         """N: the truncation order the set was built for (n_max = 2N+1)."""
         return (self.n_max - 1) // 2
 
-    def tilde_function(self, n):
-        return SampledFunction(self.mesh, self.tilde[n])
-
-    def plain_function(self, n):
-        return SampledFunction(self.mesh, self.plain[n])
-
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -73,7 +66,7 @@ class BoundConstants:
     c2: float
 
 
-def compute_formal_powers(f, p, r, anchor_slot, n_terms):
+def compute_formal_powers(f, p, r, n_terms):
     """Build both families up to index 2*n_terms + 1.
 
     ``f`` must be nonvanishing at every node, otherwise 1/(p f^2) blows up.
@@ -102,34 +95,29 @@ def compute_formal_powers(f, p, r, anchor_slot, n_terms):
     plain[0] = 1.0
     for n in range(1, n_max + 1):
         wt, wp = (weight_r, weight_p) if n % 2 == 1 else (weight_p, weight_r)
-        tilde[n] = indefinite_integral(
-            SampledFunction(mesh, tilde[n - 1] * wt), anchor_slot
-        ).values
-        plain[n] = indefinite_integral(
-            SampledFunction(mesh, plain[n - 1] * wp), anchor_slot
-        ).values
+        tilde[n] = indefinite_integral(SampledFunction(mesh, tilde[n - 1] * wt)).values
+        plain[n] = indefinite_integral(SampledFunction(mesh, plain[n - 1] * wp)).values
 
     return FormalPowerSet(
         mesh=mesh,
         tilde=tilde,
         plain=plain,
-        anchor_slot=anchor_slot,
         n_max=n_max,
         weight_r=weight_r,
         weight_p=weight_p,
     )
 
 
-def check_bounds(fp, slack=1e-8):
+def check_bounds(fp):
     """Verify the factorial growth estimates at every node.
 
     Returns the L1 constants (C1, C2).  Raises BoundViolationError when a
-    computed power exceeds its bound by more than the multiplicative
-    ``slack`` (roundoff allowance).
+    computed power exceeds its bound by more than a relative 1e-8
+    (roundoff allowance).
     """
     c1 = l1_norm(SampledFunction(fp.mesh, fp.weight_p))
     c2 = l1_norm(SampledFunction(fp.mesh, fp.weight_r))
-    allow = 1.0 + slack
+    allow = 1.0 + 1e-8
 
     tilde_abs = np.abs(fp.tilde).max(axis=1)
     plain_abs = np.abs(fp.plain).max(axis=1)

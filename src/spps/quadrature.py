@@ -87,23 +87,13 @@ def _cumulative_from_a(mesh, values):
     return out
 
 
-def indefinite_integral(g, x0_slot=0):
-    """Cumulative integral of ``g`` vanishing at the node in slot ``x0_slot``.
+def indefinite_integral(g):
+    """Cumulative integral of ``g`` from the left endpoint a.
 
-    Values left of the anchor are the negatives of integrals toward it
-    (plain antisymmetry of the definite integral).  The result is
-    continuous across breakpoints by construction and exactly zero at the
-    anchor slot.
+    The result is exactly zero at a and continuous across breakpoints by
+    construction.
     """
-    mesh = g.mesh
-    if not 0 <= x0_slot < mesh.n_slots:
-        raise IndexError(f"anchor slot {x0_slot} out of range 0..{mesh.n_slots - 1}")
-    out = _cumulative_from_a(mesh, g.values)
-    anchor = out[x0_slot]
-    if anchor != 0.0:
-        out -= anchor
-        out[x0_slot] = 0.0
-    return SampledFunction(mesh, out)
+    return SampledFunction(g.mesh, _cumulative_from_a(g.mesh, g.values))
 
 
 def l1_norm(g):

@@ -116,7 +116,6 @@ class CharacteristicPolynomial:
 
     coeffs: np.ndarray
     center: complex
-    degree_from_bc: int
     scale: float = field(init=False)
 
     def __post_init__(self):
@@ -209,13 +208,9 @@ def _conv_trunc(a, b, length):
 def assemble_characteristic(basis, bc_left, bc_right):
     """Build the characteristic polynomial from endpoint series data.
 
-    Requires the power anchor at the left endpoint so that u1, u2 have the
-    known initial data there.
+    The powers vanish at the left endpoint a, so u1, u2 have known initial
+    data there.
     """
-    if basis.powers.anchor_slot != 0:
-        raise ConfigurationError(
-            "characteristic assembly requires the series anchored at the left endpoint"
-        )
     if bc_left.endpoint != "left" or bc_right.endpoint != "right":
         raise ConfigurationError("boundary conditions must be one left, one right")
 
@@ -271,11 +266,7 @@ def assemble_characteristic(basis, bc_left, bc_right):
     br_u2 = apply_bc(alpha_r, beta_r, right["u2"])
 
     coeffs = _conv_trunc(bl_u1, br_u2, length) - _conv_trunc(bl_u2, br_u1, length)
-    return CharacteristicPolynomial(
-        coeffs=coeffs,
-        center=basis.center,
-        degree_from_bc=bc_left.degree + bc_right.degree,
-    )
+    return CharacteristicPolynomial(coeffs=coeffs, center=basis.center)
 
 
 def roots_of(phi):

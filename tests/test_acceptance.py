@@ -215,7 +215,7 @@ def test_criterion_7_property_suite(bundled_problem):
     )
     coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
     vals = sum(c * mesh.xs**k for k, c in enumerate(coeffs))
-    got = indefinite_integral(SampledFunction(mesh, vals), 0).values
+    got = indefinite_integral(SampledFunction(mesh, vals)).values
     anti = sum(
         c * (mesh.xs ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs)
     )
@@ -279,7 +279,6 @@ def test_criterion_7_property_suite(bundled_problem):
         f=SampledFunction(samples.mesh, 2.0 * start.f.values),
         pf_prime=SampledFunction(samples.mesh, 2.0 * start.pf_prime.values),
         lambda_star=start.lambda_star,
-        min_abs=2.0 * start.min_abs,
     )
     scaled_records = sweep_eigenvalues(problem, particular=scaled)
     scaling_dev = max(

@@ -223,7 +223,6 @@ def test_scaled_particular_changes_series_not_solutions():
         f=SampledFunction(samples.mesh, 2.0 * start.f.values),
         pf_prime=SampledFunction(samples.mesh, 2.0 * start.pf_prime.values),
         lambda_star=start.lambda_star,
-        min_abs=2.0 * start.min_abs,
     )
     basis2 = build_basis(scaled_ps, samples, 30)
     lam = 0.9

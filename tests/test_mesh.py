@@ -16,7 +16,7 @@ def _pieces(breaks, p="1", q="0", r="1"):
 def test_symmetric_halves_rounding():
     mesh = build_mesh(Interval(-1, 1), _pieces([-1.0, 0.0, 1.0]), 20)
     assert mesh.piece_nsub == (10, 10)
-    assert mesh.nodes.size == 21
+    assert np.unique(mesh.xs).size == 21
     assert mesh.n_slots == 22  # node 0 doubled for two-sided values
     assert mesh.breakpoint_slots == ((10, 11),)
 
@@ -24,7 +24,7 @@ def test_symmetric_halves_rounding():
 def test_round_up_to_multiple_of_five():
     mesh = build_mesh(Interval(0, 1), _pieces([0.0, 1.0]), 7)
     assert mesh.piece_nsub == (10,)
-    assert mesh.nodes.size == 11
+    assert np.unique(mesh.xs).size == 11
 
 
 def test_nonpositive_resolution_rejected():
@@ -36,10 +36,11 @@ def test_three_layer_geometry():
     mesh = build_mesh(Interval(-4, 2), _pieces([-4.0, -2.0, 0.0, 2.0]), 30)
     assert mesh.piece_nsub == (10, 10, 10)
     assert mesh.n_subintervals == 30
-    assert mesh.nodes.size == 31
+    assert np.unique(mesh.xs).size == 31
     assert mesh.n_slots == 33
-    assert mesh.breakpoint_node_indices == (10, 20)
-    assert [mesh.nodes[i] for i in mesh.breakpoint_node_indices] == [-2.0, 0.0]
+    assert mesh.breakpoint_slots == ((10, 11), (21, 22))
+    for x in (-2.0, 0.0):
+        assert np.count_nonzero(mesh.xs == x) == 2
 
 
 def test_effective_m_and_multiples():
@@ -60,7 +61,7 @@ def test_uniform_spacing_within_pieces():
         steps = np.diff(xs)
         assert np.allclose(steps, steps[0], rtol=1e-13)
     assert mesh.xs[0] == -1.0 and mesh.xs[-1] == 1.0
-    assert 0.25 in mesh.nodes
+    assert 0.25 in mesh.xs
 
 
 def test_tiling_gap_and_overlap_rejected():

@@ -22,7 +22,7 @@ from util import unit_samples
 def _unit_powers(n_terms, m=200):
     s = unit_samples(m)
     ones = constant_function(s.mesh, 1.0)
-    return s, compute_formal_powers(ones, s.p, s.r, 0, n_terms)
+    return s, compute_formal_powers(ones, s.p, s.r, n_terms)
 
 
 def test_unit_problem_powers_are_monomials():
@@ -41,15 +41,6 @@ def test_anchor_zeros_are_exact():
         assert fp.plain[n][0] == 0.0
 
 
-def test_interior_anchor_zeros_exact():
-    s = unit_samples(100, a=-1.0, b=1.0)
-    ones = constant_function(s.mesh, 1.0)
-    mid = s.mesh.slot_of(0.0)
-    fp = compute_formal_powers(ones, s.p, s.r, mid, 3)
-    for n in range(1, fp.n_max + 1):
-        assert fp.tilde[n][mid] == 0.0
-
-
 def test_even_series_sums_to_cosh():
     _, fp = _unit_powers(12)
     got = fp.tilde[0::2].sum(axis=0)[-1]  # sum of lambda^k terms at lambda = 1, x = 1
@@ -58,9 +49,9 @@ def test_even_series_sums_to_cosh():
 
 def test_scaling_covariance():
     s = unit_samples(120)
-    base = compute_formal_powers(constant_function(s.mesh, 1.0), s.p, s.r, 0, 4)
+    base = compute_formal_powers(constant_function(s.mesh, 1.0), s.p, s.r, 4)
     for c in (2.0, 1j):
-        scaled = compute_formal_powers(constant_function(s.mesh, c), s.p, s.r, 0, 4)
+        scaled = compute_formal_powers(constant_function(s.mesh, c), s.p, s.r, 4)
         for n in range(0, base.n_max + 1, 2):
             assert np.abs(scaled.tilde[n] - base.tilde[n]).max() <= 1e-13
             assert np.abs(scaled.plain[n] - base.plain[n]).max() <= 1e-13
@@ -82,8 +73,8 @@ def test_interleaving_identity():
     pb, _, rb = sample_coefficients(pieces_b, build_mesh(interval, pieces_b, 100))
     pb = SampledFunction(mesh, pb.values)
     rb = SampledFunction(mesh, rb.values)
-    fa = compute_formal_powers(ones, pa, ra, 0, 3)
-    fb = compute_formal_powers(ones, pb, rb, 0, 3)
+    fa = compute_formal_powers(ones, pa, ra, 3)
+    fb = compute_formal_powers(ones, pb, rb, 3)
     assert np.abs(fa.tilde - fb.plain).max() <= 1e-14
     assert np.abs(fa.plain - fb.tilde).max() <= 1e-14
 
@@ -93,14 +84,14 @@ def test_vanishing_f_rejected_with_location():
     f_vals = s.mesh.xs - 0.5  # zero at the node 0.5
     f = SampledFunction(s.mesh, f_vals.astype(complex))
     with pytest.raises(NonvanishingError, match="x=0.5"):
-        compute_formal_powers(f, s.p, s.r, 0, 2)
+        compute_formal_powers(f, s.p, s.r, 2)
 
 
 def test_negative_order_rejected():
     s = unit_samples(50)
     ones = constant_function(s.mesh, 1.0)
     with pytest.raises(ValueError):
-        compute_formal_powers(ones, s.p, s.r, 0, -1)
+        compute_formal_powers(ones, s.p, s.r, -1)
 
 
 def test_bounds_unit_problem():
@@ -139,7 +130,5 @@ def test_power_set_accessors():
     s, fp = _unit_powers(3)
     assert fp.n_terms == 3
     assert fp.n_max == 7
-    sf = fp.tilde_function(2)
-    assert sf.mesh is s.mesh
-    assert np.array_equal(sf.values, fp.tilde[2])
-    assert np.array_equal(fp.plain_function(1).values, fp.plain[1])
+    assert fp.mesh is s.mesh
+    assert fp.tilde.shape == fp.plain.shape == (8, s.mesh.n_slots)

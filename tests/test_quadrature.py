@@ -51,8 +51,9 @@ def test_panel_error_order_seven():
 def test_indefinite_constant():
     mesh = _mesh([-1.0, 1.0], 20)
     g = constant_function(mesh, 1.0)
-    got = indefinite_integral(g, 0)
+    got = indefinite_integral(g)
     assert np.abs(got.values - (mesh.xs + 1.0)).max() <= 1e-15
+    assert got.values[0] == 0.0
 
 
 def test_indefinite_piecewise_constant_weight():
@@ -62,7 +63,7 @@ def test_indefinite_piecewise_constant_weight():
     left, right = mesh.breakpoint_slots[0]
     vals[left] = 0.0
     vals[right] = 1.0
-    got = indefinite_integral(SampledFunction(mesh, vals), 0)
+    got = indefinite_integral(SampledFunction(mesh, vals))
     expect = np.where(mesh.xs <= 0.5, 0.0, mesh.xs - 0.5)
     assert np.abs(got.values - expect).max() <= 1e-15
     assert got.values[left] == got.values[right]
@@ -75,7 +76,7 @@ def test_indefinite_cos_squared_piecewise():
     x = mesh.xs.real
     left_mask = np.arange(mesh.n_slots) <= mesh.breakpoint_slots[0][0]
     vals = np.where(left_mask, np.cos(x) ** 2, np.cos(math.sqrt(2) * x) ** 2)
-    got = indefinite_integral(SampledFunction(mesh, vals.astype(complex)), 0)
+    got = indefinite_integral(SampledFunction(mesh, vals.astype(complex)))
 
     def anti_left(t):  # int cos^2 = t/2 + sin(2t)/4
         return t / 2 + np.sin(2 * t) / 4
@@ -97,7 +98,7 @@ def test_degree_five_polynomial_exact_on_random_mesh():
     mesh = _mesh([-1.0, -0.3, 0.4, 1.0], 55)
     x = mesh.xs
     vals = sum(c * x**k for k, c in enumerate(coeffs))
-    got = indefinite_integral(SampledFunction(mesh, vals), 0)
+    got = indefinite_integral(SampledFunction(mesh, vals))
     anti = sum(c * (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
     scale = np.abs(anti).max()
     assert np.abs(got.values - anti).max() <= 1e-13 * scale
@@ -110,8 +111,8 @@ def test_linearity():
     h = SampledFunction(mesh, rng.normal(size=mesh.n_slots) + 1j * rng.normal(size=mesh.n_slots))
     a, b = 2.0 - 1.0j, -0.5 + 0.25j
     combo = SampledFunction(mesh, a * g.values + b * h.values)
-    lhs = indefinite_integral(combo, 0).values
-    rhs = a * indefinite_integral(g, 0).values + b * indefinite_integral(h, 0).values
+    lhs = indefinite_integral(combo).values
+    rhs = a * indefinite_integral(g).values + b * indefinite_integral(h).values
     assert np.abs(lhs - rhs).max() <= 1e-13 * max(1.0, np.abs(rhs).max())
 
 
@@ -119,27 +120,9 @@ def test_breakpoint_continuity_is_exact():
     rng = np.random.default_rng(5)
     mesh = _mesh([0.0, 0.3, 0.7, 1.0], 45)
     g = SampledFunction(mesh, rng.normal(size=mesh.n_slots).astype(complex))
-    got = indefinite_integral(g, 0)
+    got = indefinite_integral(g)
     for left, right in mesh.breakpoint_slots:
         assert got.values[left] == got.values[right]
-
-
-def test_anchor_zero_and_orientation():
-    mesh = _mesh([-1.0, 1.0], 20)
-    g = constant_function(mesh, 1.0)
-    mid = mesh.slot_of(0.0)
-    got = indefinite_integral(g, mid)
-    assert got.values[mid] == 0.0  # exactly
-    # values left of the anchor are negatives of integrals toward it
-    assert got.values[0] == pytest.approx(-1.0, abs=1e-15)
-    assert got.values[-1] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_anchor_out_of_range():
-    mesh = _mesh([0.0, 1.0], 10)
-    g = constant_function(mesh, 1.0)
-    with pytest.raises(IndexError):
-        indefinite_integral(g, mesh.n_slots)
 
 
 def test_l1_norm_examples():

@@ -143,15 +143,6 @@ def test_structural_regression_shifted(step_setup):
     assert np.abs(phi.coeffs[: n + 1] - expect).max() <= 1e-12 * scale
 
 
-def test_assembly_requires_left_anchor(step_setup):
-    _, samples, bcl, bcr, basis = step_setup
-    from dataclasses import replace
-
-    moved = replace(basis, powers=replace(basis.powers, anchor_slot=3))
-    with pytest.raises(ConfigurationError):
-        assemble_characteristic(moved, bcl, bcr)
-
-
 def test_assembly_rejects_mismatched_endpoints(step_setup):
     _, _, bcl, _, basis = step_setup
     with pytest.raises(ConfigurationError):
@@ -163,14 +154,14 @@ def test_assembly_rejects_mismatched_endpoints(step_setup):
 
 
 def test_quadratic_roots():
-    phi = CharacteristicPolynomial(np.array([-1.0, 0.0, 1.0], dtype=complex), 0.0, 0)
+    phi = CharacteristicPolynomial(np.array([-1.0, 0.0, 1.0], dtype=complex), 0.0)
     roots = np.sort_complex(roots_of(phi))
     assert np.allclose(roots, [-1.0, 1.0], atol=1e-14)
 
 
 def test_quadratic_roots_recentred():
     # mu^2 - 1 around center 2 has zeros at lambda = 1 and 3
-    phi = CharacteristicPolynomial(np.array([-1.0, 0.0, 1.0], dtype=complex), 2.0, 0)
+    phi = CharacteristicPolynomial(np.array([-1.0, 0.0, 1.0], dtype=complex), 2.0)
     roots = np.sort_complex(roots_of(phi))
     assert np.allclose(roots, [1.0, 3.0], atol=1e-12)
 
@@ -188,13 +179,13 @@ def test_dirichlet_roots_against_sine_zeros():
 
 
 def test_degenerate_polynomial_rejected():
-    phi = CharacteristicPolynomial(np.zeros(5, dtype=complex), 0.0, 0)
+    phi = CharacteristicPolynomial(np.zeros(5, dtype=complex), 0.0)
     with pytest.raises(DegeneratePolynomialError):
         roots_of(phi)
 
 
 def test_constant_polynomial_has_no_roots():
-    phi = CharacteristicPolynomial(np.array([2.0], dtype=complex), 0.0, 0)
+    phi = CharacteristicPolynomial(np.array([2.0], dtype=complex), 0.0)
     assert roots_of(phi).size == 0
 
 
@@ -215,19 +206,19 @@ def test_shift_consistency_between_centers(step_setup):
 
 
 def test_count_quadratic():
-    phi = CharacteristicPolynomial(np.array([-1.0, 0.0, 1.0], dtype=complex), 0.0, 0)
+    phi = CharacteristicPolynomial(np.array([-1.0, 0.0, 1.0], dtype=complex), 0.0)
     assert count_zeros(phi.evaluate, 0.0, 2.0) == 2
     assert count_zeros(phi.evaluate, 0.0, 0.5) == 0
 
 
 def test_count_zero_on_contour_rejected():
-    phi = CharacteristicPolynomial(np.array([-1.0, 0.0, 1.0], dtype=complex), 0.0, 0)
+    phi = CharacteristicPolynomial(np.array([-1.0, 0.0, 1.0], dtype=complex), 0.0)
     with pytest.raises(ContourError):
         count_zeros(phi.evaluate, 0.0, 1.0)
 
 
 def test_count_near_contour_resolved_by_doubling():
-    phi = CharacteristicPolynomial(np.array([-1.0, 0.0, 1.0], dtype=complex), 0.0, 0)
+    phi = CharacteristicPolynomial(np.array([-1.0, 0.0, 1.0], dtype=complex), 0.0)
     assert count_zeros(phi.evaluate, 0.0, 1.01, samples=256) == 2
     assert count_zeros(phi.evaluate, 0.0, 0.99, samples=256) == 0
 
@@ -242,7 +233,7 @@ def test_count_matches_sweep_inside_disk(step_setup):
 
 
 def test_count_requires_positive_radius():
-    phi = CharacteristicPolynomial(np.array([1.0, 1.0], dtype=complex), 0.0, 0)
+    phi = CharacteristicPolynomial(np.array([1.0, 1.0], dtype=complex), 0.0)
     with pytest.raises(ValueError):
         count_zeros(phi.evaluate, 0.0, 0.0)
 
@@ -252,7 +243,7 @@ def test_count_requires_positive_radius():
 
 
 def test_landscape_identity_function_clamps_origin():
-    phi = CharacteristicPolynomial(np.array([0.0, 1.0], dtype=complex), 0.0, 0)
+    phi = CharacteristicPolynomial(np.array([0.0, 1.0], dtype=complex), 0.0)
     height, meta = landscape_of(phi, 0.0, 1.0, 16)
     assert height.shape == (16, 16)
     assert np.isfinite(height).all()
@@ -262,13 +253,13 @@ def test_landscape_identity_function_clamps_origin():
 
 
 def test_landscape_caps_at_exact_zero():
-    phi = CharacteristicPolynomial(np.array([0.0, 1.0], dtype=complex), 0.0, 0)
+    phi = CharacteristicPolynomial(np.array([0.0, 1.0], dtype=complex), 0.0)
     height, _ = landscape_of(phi, 0.0, 1.0, 17)  # odd grid hits the origin
     assert height.max() == 308.0
 
 
 def test_landscape_constant():
-    phi = CharacteristicPolynomial(np.array([2.0], dtype=complex), 0.0, 0)
+    phi = CharacteristicPolynomial(np.array([2.0], dtype=complex), 0.0)
     height, meta = landscape_of(phi, 0.0, 1.0, 16)
     assert np.allclose(height, -math.log(2.0))
     assert meta["outside_trust_fraction"] == 0.0
@@ -410,5 +401,5 @@ def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, mo
 
 
 def test_trust_radius_monotone_in_tolerance():
-    phi = CharacteristicPolynomial(np.array([1.0, 0.5, 0.25, 1e-20], dtype=complex), 0.0, 0)
+    phi = CharacteristicPolynomial(np.array([1.0, 0.5, 0.25, 1e-20], dtype=complex), 0.0)
     assert phi.trust_radius(1e-8) <= phi.trust_radius(1e-4)
