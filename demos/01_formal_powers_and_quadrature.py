@@ -73,8 +73,8 @@ print("=" * 70)
 print("4. Factorial growth bounds")
 print("=" * 70)
 
-consts = check_bounds(powers)
-print(f"L1 weight norms: C1 = {consts.c1:.6f}, C2 = {consts.c2:.6f}")
+c1, c2 = check_bounds(powers)
+print(f"L1 weight norms: C1 = {c1:.6f}, C2 = {c2:.6f}")
 print("every |X(2n)| stayed below (C1 C2)^n / (n!)^2 -- the bound check")
 print("raises if a computed power ever escapes, which would indicate a")
 print("quadrature or recursion defect rather than a user error.")

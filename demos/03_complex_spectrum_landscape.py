@@ -14,9 +14,8 @@ external plotter.
 import numpy as np
 
 from spps import load_problem, sweep_eigenvalues
-from spps.basis import build_basis
-from spps.problems import fixture_path, prepare, with_overrides
-from spps.spectral import assemble_characteristic, count_zeros, landscape_of
+from spps.problems import fixture_path, with_overrides
+from spps.spectral import characteristic_at, count_zeros, landscape_of
 
 problem = with_overrides(
     load_problem(fixture_path("example2_complex.prob")),
@@ -29,9 +28,7 @@ for piece in problem.pieces:
     print(f"  [{piece.lo:+.0f}, {piece.hi:+.0f}]  p = {piece.p}, r = {piece.r}")
 print()
 
-config, samples, bcl, bcr, start = prepare(problem, None, None)
-basis = build_basis(start, samples, config.n_terms)
-phi = assemble_characteristic(basis, bcl, bcr)
+phi = characteristic_at(problem)
 
 n_inside = count_zeros(phi.evaluate, 0.0, 13.0, samples=512)
 print(f"argument principle: {n_inside} eigenvalues inside |lambda| <= 13")

@@ -11,7 +11,6 @@ recentring the series (spectral shift).
 
 from .basis import (
     ParticularSolution,
-    SolutionSample,
     SppsBasis,
     build_basis,
     build_seed_solution,
@@ -34,7 +33,6 @@ from .mesh import (
     sample_coefficients,
 )
 from .powers import (
-    BoundConstants,
     FormalPowerSet,
     check_bounds,
     compute_formal_powers,
@@ -50,7 +48,6 @@ from .problems import (
     sample_problem,
 )
 from .quadrature import (
-    PanelWeights,
     derive_partial_weights,
     indefinite_integral,
     l1_norm,
@@ -60,10 +57,9 @@ from .spectral import (
     BoundaryCondition,
     CharacteristicPolynomial,
     EigenvalueRecord,
-    ShiftSchedule,
     assemble_characteristic,
+    characteristic_at,
     count_zeros,
-    landscape,
     roots_of,
     sweep_eigenvalues,
 )
@@ -79,17 +75,14 @@ __all__ = [
     "ProblemSamples",
     "build_mesh",
     "sample_coefficients",
-    "PanelWeights",
     "derive_partial_weights",
     "indefinite_integral",
     "l1_norm",
     "FormalPowerSet",
-    "BoundConstants",
     "compute_formal_powers",
     "check_bounds",
     "ParticularSolution",
     "SppsBasis",
-    "SolutionSample",
     "build_seed_solution",
     "build_basis",
     "evaluate_solution",
@@ -97,13 +90,12 @@ __all__ = [
     "truncation_residual",
     "BoundaryCondition",
     "CharacteristicPolynomial",
-    "ShiftSchedule",
     "EigenvalueRecord",
     "assemble_characteristic",
     "roots_of",
     "count_zeros",
     "sweep_eigenvalues",
-    "landscape",
+    "characteristic_at",
     "Problem",
     "SolverConfig",
     "ParticularPiece",

@@ -38,7 +38,6 @@ from .quadrature import indefinite_integral
 __all__ = [
     "ParticularSolution",
     "SppsBasis",
-    "SolutionSample",
     "particular_residual",
     "verify_particular",
     "build_seed_solution",
@@ -97,15 +96,6 @@ class SppsBasis:
     def n_terms(self):
         """N: the truncation order of the powers."""
         return self.powers.n_terms
-
-
-@dataclass(frozen=True)
-class SolutionSample:
-    """One series solution evaluated at a fixed lambda."""
-
-    u: SampledFunction
-    pu_prime: SampledFunction
-    truncation_tail: float
 
 
 def particular_residual(samples, ps):
@@ -236,11 +226,11 @@ def _horner_rows(rows, mu, count):
 
 
 def evaluate_solution(basis, lam, which="first", n_terms=None):
-    """Evaluate u and p*u' of one basis solution at lambda.
+    """Samples of u and p*u' of one basis solution at lambda, and its tail.
 
-    Any complex lambda is accepted; accuracy degrades away from the center
-    and is reported through ``truncation_tail`` (magnitude of the last
-    retained series term at the right endpoint, relative to the sum).
+    Returns ``(u, pu, tail)``: two complex arrays on the expanded grid and
+    a float.  Any complex lambda is accepted; accuracy degrades away from
+    the center and is reported through ``tail`` (see ``_tail_indicator``).
     """
     n = basis.n_terms if n_terms is None else n_terms
     if not 0 <= n <= basis.n_terms:
@@ -269,13 +259,7 @@ def evaluate_solution(basis, lam, which="first", n_terms=None):
     else:
         raise ValueError(f"which must be 'first' or 'second', got {which!r}")
 
-    tail = _tail_indicator(mu, n, last, series_sum)
-    mesh = fp.mesh
-    return SolutionSample(
-        u=SampledFunction(mesh, u),
-        pu_prime=SampledFunction(mesh, pu),
-        truncation_tail=tail,
-    )
+    return u, pu, _tail_indicator(mu, n, last, series_sum)
 
 
 def _tail_indicator(mu, n, last_row, series_sum):
@@ -310,9 +294,9 @@ def shift_basis(basis, new_center, combination=None):
     ``new_center`` as ``shift_tail``.
     """
     new_center = complex(new_center)
-    s1 = evaluate_solution(basis, new_center, "first")
-    s2 = evaluate_solution(basis, new_center, "second")
-    tail = max(s1.truncation_tail, s2.truncation_tail)
+    u1, pu1, tail1 = evaluate_solution(basis, new_center, "first")
+    u2, pu2, tail2 = evaluate_solution(basis, new_center, "second")
+    tail = max(tail1, tail2)
     if tail > TRUST_TAIL_LIMIT:
         raise ShiftFailureError(
             f"shift from {basis.center} to {new_center} leaves the trust region "
@@ -326,7 +310,7 @@ def shift_basis(basis, new_center, combination=None):
     best = None
     best_ratio = -1.0
     for c1, c2 in candidates:
-        fv = c1 * s1.u.values + c2 * s2.u.values
+        fv = c1 * u1 + c2 * u2
         max_abs = float(np.abs(fv).max())
         if max_abs == 0.0:
             continue
@@ -340,7 +324,7 @@ def shift_basis(basis, new_center, combination=None):
             f"(best min/max ratio {best_ratio:.2e}); try a smaller displacement"
         )
     c1, c2, fv = best
-    pfv = c1 * s1.pu_prime.values + c2 * s2.pu_prime.values
+    pfv = c1 * pu1 + c2 * pu2
 
     mesh = basis.samples.mesh
     ps = ParticularSolution(
@@ -369,13 +353,13 @@ def truncation_residual(basis, lam, which="first"):
     the single dropped term.
     """
     n = basis.n_terms
-    full = evaluate_solution(basis, lam, which, n_terms=n)
-    prev = evaluate_solution(basis, lam, which, n_terms=n - 1) if n >= 1 else full
+    u, pu, _ = evaluate_solution(basis, lam, which, n_terms=n)
+    u_prev = evaluate_solution(basis, lam, which, n_terms=n - 1)[0] if n >= 1 else u
     mu = complex(lam) - basis.center
     samples = basis.samples
-    integrand = mu * samples.r.values * prev.u.values - (
+    integrand = mu * samples.r.values * u_prev - (
         samples.q.values - basis.center * samples.r.values
-    ) * full.u.values
+    ) * u
     acc = indefinite_integral(SampledFunction(samples.mesh, integrand))
-    res = full.pu_prime.values - full.pu_prime.values[0] - acc.values
+    res = pu - pu[0] - acc.values
     return float(np.abs(res).max())

@@ -22,6 +22,7 @@ from pathlib import Path
 from . import __version__
 from .basis import build_basis
 from .errors import InputError, SolverError
+from .mesh import subinterval_counts
 from .problems import (
     format_complex,
     load_problem,
@@ -34,9 +35,9 @@ from .problems import (
 from .shooting import shoot
 from .spectral import (
     POLICIES,
-    assemble_characteristic,
+    characteristic_at,
     count_zeros,
-    landscape,
+    landscape_of,
     sweep_eigenvalues,
 )
 
@@ -83,11 +84,9 @@ def _load_with_overrides(args):
 
 
 def _result_lines(problem, records, elapsed):
-    from .mesh import build_mesh
-
-    mesh = build_mesh(problem.interval, problem.pieces, problem.solver.mesh_m)
+    m = sum(subinterval_counts(problem.interval, problem.pieces, problem.solver.mesh_m))
     lines = [
-        f"# n_powers={problem.solver.n_terms} mesh_effective={mesh.n_subintervals} "
+        f"# n_powers={problem.solver.n_terms} mesh_effective={m} "
         f"runtime_s={elapsed:.3f}",
         "n,re_lambda,im_lambda,residual,center",
     ]
@@ -118,9 +117,8 @@ def cmd_solve(args):
 def cmd_landscape(args):
     problem = _load_with_overrides(args)
     center = parse_complex(args.center)
-    matrix, meta = landscape(
-        problem, center=center, radius=args.radius, grid=args.grid
-    )
+    phi = characteristic_at(problem, center)
+    matrix, meta = landscape_of(phi, center, args.radius, args.grid)
     lines = [
         f"# center={format_complex(meta['center'])} radius={_fmt(meta['radius'])} "
         f"grid={meta['grid']} trust_radius={_fmt(meta['trust_radius'])} "
@@ -135,9 +133,8 @@ def cmd_landscape(args):
 def cmd_count(args):
     problem = _load_with_overrides(args)
     center = parse_complex(args.center)
-    config, samples, bc_left, bc_right, particular = prepare(problem, None, None)
-    basis = build_basis(particular, samples, config.n_terms)
-    phi = assemble_characteristic(basis, bc_left, bc_right)
+    # expanded at the starting center, whatever the contour's center
+    phi = characteristic_at(problem)
     n = count_zeros(phi.evaluate, center, args.radius, samples=args.samples)
     sys.stdout.write(f"{n}\n")
     return EXIT_OK

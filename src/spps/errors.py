@@ -100,10 +100,6 @@ class ContourError(SolverError):
 class SweepStalledError(SolverError):
     """The eigenvalue sweep could not validate any further candidate roots."""
 
-    def __init__(self, message, last_good_center=None):
-        super().__init__(message)
-        self.last_good_center = last_good_center
-
 
 class OracleConvergenceError(SolverError):
     """The shooting oracle's root refinement did not converge."""

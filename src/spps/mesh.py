@@ -28,6 +28,7 @@ __all__ = [
     "SampledFunction",
     "ProblemSamples",
     "build_mesh",
+    "subinterval_counts",
     "sample_coefficients",
     "sample_piecewise",
     "constant_function",
@@ -108,10 +109,6 @@ class Mesh:
         start = self.offsets[i]
         return slice(start, start + self.piece_nsub[i] + 1)
 
-    def spacing(self, i):
-        lo, hi = self.piece_bounds[i]
-        return (hi - lo) / self.piece_nsub[i]
-
     def slot_of(self, x):
         """Slot index of the mesh node at coordinate ``x`` (left slot if doubled)."""
         k = int(np.argmin(np.abs(self.xs - x)))
@@ -158,21 +155,12 @@ class ProblemSamples:
 def build_mesh(interval, pieces, m):
     """Build the panel-aligned mesh for ``pieces`` tiling ``interval``.
 
-    ``m`` is the requested total subinterval count; each piece receives a
-    share proportional to its length, rounded up to a multiple of 5 (and at
-    least 5, so a panel never straddles a breakpoint).  The effective total
-    is available as ``mesh.n_subintervals`` and is always >= m.
+    ``m`` is the requested total subinterval count, split over the pieces
+    by ``subinterval_counts``.  The effective total is available as
+    ``mesh.n_subintervals`` and is always >= m.
     """
     _check_tiling(interval, pieces)
-    if m < 1:
-        raise MeshError(f"resolution m={m} must be positive")
-
-    total = interval.length
-    nsub = []
-    for piece in pieces:
-        share = m * (piece.hi - piece.lo) / total
-        count = max(5, 5 * math.ceil(share / 5.0))
-        nsub.append(count)
+    nsub = subinterval_counts(interval, pieces, m)
 
     bounds = tuple((p.lo, p.hi) for p in pieces)
     offsets = []
@@ -198,13 +186,26 @@ def build_mesh(interval, pieces, m):
     return Mesh(
         interval=interval,
         piece_bounds=bounds,
-        piece_nsub=tuple(nsub),
+        piece_nsub=nsub,
         offsets=tuple(offsets),
         xs=xs,
         breakpoint_slots=breakpoint_slots,
         panel_index=np.concatenate(panel_rows, axis=0),
         panel_h=np.concatenate(panel_h),
     )
+
+
+def subinterval_counts(interval, pieces, m):
+    """Per-piece subinterval counts of the mesh ``build_mesh`` would build.
+
+    Each piece's share of ``m`` is proportional to its length, rounded up
+    to a multiple of 5 and at least 5, so a 6-point panel never straddles
+    a breakpoint.  No node arrays are allocated.
+    """
+    if m < 1:
+        raise MeshError(f"resolution m={m} must be positive")
+    total = interval.length
+    return tuple(max(5, 5 * math.ceil(m * (pc.hi - pc.lo) / total / 5.0)) for pc in pieces)
 
 
 def _check_tiling(interval, pieces):

@@ -28,7 +28,6 @@ from .quadrature import indefinite_integral, l1_norm
 
 __all__ = [
     "FormalPowerSet",
-    "BoundConstants",
     "compute_formal_powers",
     "check_bounds",
 ]
@@ -58,12 +57,6 @@ class FormalPowerSet:
     def n_terms(self):
         """N: the truncation order the set was built for (n_max = 2N+1)."""
         return (self.n_max - 1) // 2
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    c1: float
-    c2: float
 
 
 def compute_formal_powers(f, p, r, n_terms):
@@ -156,4 +149,4 @@ def check_bounds(fp):
                 f"tilde[{idx}] = {tilde_abs[idx]:.6e} exceeds bound {tilde_odd:.6e}"
             )
 
-    return BoundConstants(c1=c1, c2=c2)
+    return c1, c2

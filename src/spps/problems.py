@@ -62,7 +62,6 @@ __all__ = [
     "parse_problem",
     "load_problem",
     "problem_to_text",
-    "save_problem",
     "sample_problem",
     "particular_for",
     "prepare",
@@ -369,10 +368,6 @@ def problem_to_text(problem):
         f"accept_threshold = {s.accept_threshold:.17g}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def save_problem(problem, path):
-    Path(path).write_text(problem_to_text(problem), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

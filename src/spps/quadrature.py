@@ -13,35 +13,22 @@ the antiderivative continuous even when the integrand jumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .mesh import SampledFunction
 
-__all__ = ["PanelWeights", "derive_partial_weights", "indefinite_integral", "l1_norm"]
-
-
-@dataclass(frozen=True)
-class PanelWeights:
-    """Integration weights on the unit-spaced nodes 0..5.
-
-    ``partial_weights[j-1, k]`` is the exact integral of the k-th Lagrange
-    basis polynomial from 0 to j; the last row equals ``full_weights``.
-    Multiply by the actual step h at use time.
-    """
-
-    full_weights: np.ndarray
-    partial_weights: np.ndarray
-
-    def __post_init__(self):
-        self.full_weights.flags.writeable = False
-        self.partial_weights.flags.writeable = False
+__all__ = ["derive_partial_weights", "indefinite_integral", "l1_norm"]
 
 
 def derive_partial_weights():
-    """Derive the panel weights in exact rational arithmetic."""
+    """Integration weights on the unit-spaced nodes 0..5, read-only (5, 6).
+
+    Row ``j-1`` holds the exact integrals from 0 to j of the six Lagrange
+    basis polynomials, derived in rational arithmetic; the last row is the
+    closed rule over the whole panel.  Multiply by the step h at use time.
+    """
     rows = []
     for j in range(1, 6):
         row = []
@@ -50,7 +37,8 @@ def derive_partial_weights():
             row.append(sum(c * Fraction(j) ** (m + 1) / (m + 1) for m, c in enumerate(coeffs)))
         rows.append(row)
     partial = np.array([[float(w) for w in row] for row in rows])
-    return PanelWeights(full_weights=partial[-1].copy(), partial_weights=partial)
+    partial.flags.writeable = False
+    return partial
 
 
 def _lagrange_coeffs(k):
@@ -69,8 +57,7 @@ def _lagrange_coeffs(k):
     return [c / den for c in num]
 
 
-_WEIGHTS = derive_partial_weights()
-_PW_T = _WEIGHTS.partial_weights.T.copy()  # (6, 5), contiguous for the matmul
+_PW_T = derive_partial_weights().T.copy()  # (6, 5), contiguous for the matmul
 
 
 def _cumulative_from_a(mesh, values):

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .basis import build_basis, shift_basis
 from .errors import (
@@ -37,13 +38,12 @@ from .errors import (
 __all__ = [
     "BoundaryCondition",
     "CharacteristicPolynomial",
-    "ShiftSchedule",
     "EigenvalueRecord",
     "assemble_characteristic",
     "roots_of",
     "count_zeros",
     "sweep_eigenvalues",
-    "landscape",
+    "characteristic_at",
     "landscape_of",
     "is_real_problem",
 ]
@@ -127,9 +127,9 @@ class CharacteristicPolynomial:
     def evaluate(self, lam):
         """Horner evaluation at scalar or array lambda."""
         mu = np.asarray(lam, dtype=np.complex128) - self.center
-        acc = _polyval_ascending(self.coeffs, mu)
+        acc = polyval(mu, self.coeffs)
         if np.ndim(lam) == 0:
-            return complex(acc[()])
+            return complex(acc)
         return acc
 
     def trust_radius(self, rel=1e-6):
@@ -142,30 +142,6 @@ class CharacteristicPolynomial:
             return math.inf
         top = abs(self.coeffs[d])
         return (rel * self.scale / top) ** (1.0 / d)
-
-
-@dataclass(frozen=True)
-class ShiftSchedule:
-    """How the series center moves after each accepted eigenvalue."""
-
-    delta: complex = 0.0
-    policy: str = "always_previous"
-
-    def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-
-    def next_center(self, found, current):
-        """Center for the next step given eigenvalues found so far."""
-        if self.policy == "fixed_center" or not found:
-            return current
-        if self.policy == "always_previous":
-            return found[-1] + self.delta
-        # previous_if_upper_half: stay on the last eigenvalue while its
-        # imaginary part is positive, otherwise fall back one more
-        if found[-1].imag > 0 or len(found) < 2:
-            return found[-1] + self.delta
-        return found[-2] + self.delta
 
 
 @dataclass(frozen=True)
@@ -287,26 +263,21 @@ def roots_of(phi):
     mu = np.roots(c[::-1])
 
     dc = c[1:] * np.arange(1, len(c))
+    # tensor=False keeps each Horner step's coefficient a scalar; the default
+    # broadcasts a reshaped c, which is measurably slower on these short arrays
     for _ in range(5):
-        val = _polyval_ascending(c, mu)
-        der = _polyval_ascending(dc, mu)
+        val = polyval(mu, c, tensor=False)
+        der = polyval(mu, dc, tensor=False)
         ok = der != 0
         step = np.zeros_like(mu)
         step[ok] = val[ok] / der[ok]
         new = mu - step
-        improved = np.abs(_polyval_ascending(c, new)) <= np.abs(val)
+        improved = np.abs(polyval(new, c, tensor=False)) <= np.abs(val)
         mu = np.where(improved, new, mu)
         if np.all(np.abs(step[improved]) <= 1e-15 * (1.0 + np.abs(mu[improved]))):
             break
 
     return phi.center + mu
-
-
-def _polyval_ascending(c, z):
-    acc = np.full_like(z, c[-1])
-    for coef in c[-2::-1]:
-        acc = acc * z + coef
-    return acc
 
 
 def count_zeros(phi_evaluator, center, radius, samples=512):
@@ -392,7 +363,6 @@ def sweep_eigenvalues(problem, config=None, particular=None):
     if config.max_eigenvalues <= 0:
         return []
 
-    schedule = ShiftSchedule(delta=config.delta, policy=config.policy)
     basis = build_basis(start, samples, config.n_terms)
 
     records = []
@@ -422,13 +392,11 @@ def sweep_eigenvalues(problem, config=None, particular=None):
                 last = "" if residual is None else f" (last residual {residual:.2e})"
                 raise SweepStalledError(
                     f"three consecutive candidates failed validation near center "
-                    f"{basis.center}{last}; increase the power count or the mesh resolution",
-                    last_good_center=basis.center,
+                    f"{basis.center}{last}; increase the power count or the mesh resolution"
                 )
         else:
             raise SweepStalledError(
-                f"no further candidate root could be validated from center {basis.center}",
-                last_good_center=basis.center,
+                f"no further candidate root could be validated from center {basis.center}"
             )
         lam = _refine_in_frame(vphi, cand)
         records.append(
@@ -443,10 +411,10 @@ def sweep_eigenvalues(problem, config=None, particular=None):
         found.append(lam)
         if len(records) >= config.max_eigenvalues:
             break
-        next_center = schedule.next_center(found, basis.center)
+        next_center = _next_center(config, found, basis.center)
         if next_center == vbasis.center:
             basis = vbasis
-        elif schedule.policy != "fixed_center":
+        elif config.policy != "fixed_center":
             # Re-expand even when next_center is only ~1e-12 from the
             # validation center (delta = 0, after refinement): the rebuild
             # re-picks the best-conditioned f in the new frame.  Reusing the
@@ -462,6 +430,19 @@ def sweep_eigenvalues(problem, config=None, particular=None):
         records.sort(key=lambda rec: rec.lam.real)
         records = [replace(rec, index=i) for i, rec in enumerate(records)]
     return records
+
+
+def _next_center(config, found, current):
+    """Center for the next step of the sweep under ``config.policy``."""
+    if config.policy == "fixed_center" or not found:
+        return current
+    if config.policy == "always_previous":
+        return found[-1] + config.delta
+    # previous_if_upper_half: stay on the last eigenvalue while its
+    # imaginary part is positive, otherwise fall back one more
+    if found[-1].imag > 0 or len(found) < 2:
+        return found[-1] + config.delta
+    return found[-2] + config.delta
 
 
 def _refine_in_frame(vphi, cand):
@@ -483,7 +464,24 @@ def _refine_in_frame(vphi, cand):
     return cand
 
 
-def landscape(problem, config=None, center=0.0, radius=10.0, grid=64, particular=None):
+def characteristic_at(problem, center=0.0, config=None, particular=None):
+    """The characteristic polynomial of ``problem`` expanded at ``center``.
+
+    Builds the basis at the starting center (that of the supplied or seeded
+    particular solution, lambda = 0) and shifts it to ``center`` when the
+    two differ.
+    """
+    from .problems import prepare  # local import keeps module layers acyclic
+
+    config, samples, bc_left, bc_right, start = prepare(problem, config, particular)
+    basis = build_basis(start, samples, config.n_terms)
+    center = complex(center)
+    if center != basis.center:
+        basis = shift_basis(basis, center)
+    return assemble_characteristic(basis, bc_left, bc_right)
+
+
+def landscape_of(phi, center, radius, grid):
     """Sample -log|Phi| on a grid covering the disk's bounding square.
 
     Rows are ordered by decreasing imaginary part.  Points where Phi
@@ -491,21 +489,8 @@ def landscape(problem, config=None, center=0.0, radius=10.0, grid=64, particular
     and a metadata dict including the trust radius and how much of the
     grid lies beyond it.
     """
-    from .problems import prepare
-
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    config, samples, bc_left, bc_right, start = prepare(problem, config, particular)
-    basis = build_basis(start, samples, config.n_terms)
-    center = complex(center)
-    if center != basis.center:
-        basis = shift_basis(basis, center)
-    phi = assemble_characteristic(basis, bc_left, bc_right)
-    return landscape_of(phi, center, radius, grid)
-
-
-def landscape_of(phi, center, radius, grid):
-    """Landscape from an already assembled polynomial (see ``landscape``)."""
     center = complex(center)
     re = np.linspace(center.real - radius, center.real + radius, grid)
     im = np.linspace(center.imag + radius, center.imag - radius, grid)

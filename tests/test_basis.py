@@ -104,29 +104,29 @@ def test_nearly_vanishing_user_f_rejected():
 
 
 def test_unit_series_converges_to_cosh_sinh(unit_basis):
-    s1 = evaluate_solution(unit_basis, 1.0, "first")
-    s2 = evaluate_solution(unit_basis, 1.0, "second")
-    assert abs(s1.u.values[-1] - math.cosh(1.0)) <= 1e-12
-    assert abs(s2.u.values[-1] - math.sinh(1.0)) <= 1e-12
+    u1, _, _ = evaluate_solution(unit_basis, 1.0, "first")
+    u2, _, _ = evaluate_solution(unit_basis, 1.0, "second")
+    assert abs(u1[-1] - math.cosh(1.0)) <= 1e-12
+    assert abs(u2[-1] - math.sinh(1.0)) <= 1e-12
     lam = 2.37
-    s1 = evaluate_solution(unit_basis, lam, "first")
+    u1, _, _ = evaluate_solution(unit_basis, lam, "first")
     x = unit_basis.samples.mesh.xs
     expect = np.cosh(math.sqrt(lam) * x)
-    assert np.abs(s1.u.values - expect).max() <= 1e-11
+    assert np.abs(u1 - expect).max() <= 1e-11
 
 
 def test_evaluation_at_center_is_exact(unit_basis, step_setup):
     for basis in (unit_basis, step_setup[4]):
-        s1 = evaluate_solution(basis, basis.center, "first")
-        s2 = evaluate_solution(basis, basis.center, "second")
-        assert np.array_equal(s1.u.values, basis.particular.f.values)
-        assert np.array_equal(s1.pu_prime.values, basis.particular.pf_prime.values)
+        u1, pu1, tail1 = evaluate_solution(basis, basis.center, "first")
+        u2, pu2, _ = evaluate_solution(basis, basis.center, "second")
+        assert np.array_equal(u1, basis.particular.f.values)
+        assert np.array_equal(pu1, basis.particular.pf_prime.values)
         # u2 = f * X^(1), with initial data u2(x0) = 0, pu2'(x0) = 1/f(x0)
         expect_u2 = basis.particular.f.values * basis.powers.plain[1]
-        assert np.abs(s2.u.values - expect_u2).max() <= 1e-15 * np.abs(expect_u2).max()
-        assert s2.u.values[0] == 0.0
-        assert s2.pu_prime.values[0] == 1.0 / basis.particular.f.values[0]
-        assert s1.truncation_tail == 0.0
+        assert np.abs(u2 - expect_u2).max() <= 1e-15 * np.abs(expect_u2).max()
+        assert u2[0] == 0.0
+        assert pu2[0] == 1.0 / basis.particular.f.values[0]
+        assert tail1 == 0.0
 
 
 def test_wronskian_identity(unit_basis, step_setup):
@@ -134,21 +134,21 @@ def test_wronskian_identity(unit_basis, step_setup):
     for basis, radius in ((unit_basis, 4.0), (step_setup[4], 3.0)):
         for _ in range(10):
             lam = basis.center + complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-            s1 = evaluate_solution(basis, lam, "first")
-            s2 = evaluate_solution(basis, lam, "second")
-            w = s1.u.values * s2.pu_prime.values - s2.u.values * s1.pu_prime.values
+            u1, pu1, _ = evaluate_solution(basis, lam, "first")
+            u2, pu2, _ = evaluate_solution(basis, lam, "second")
+            w = u1 * pu2 - u2 * pu1
             assert np.abs(w - 1.0).max() <= 1e-9
 
 
 def test_solution_continuity_across_breakpoints(step_setup):
     _, samples, _, _, basis = step_setup
-    s1 = evaluate_solution(basis, 1.7, "first")
-    s2 = evaluate_solution(basis, 1.7, "second")
+    u1, pu1, _ = evaluate_solution(basis, 1.7, "first")
+    u2, pu2, _ = evaluate_solution(basis, 1.7, "second")
     for left, right in samples.mesh.breakpoint_slots:
-        assert s1.u.values[left] == s1.u.values[right]
-        assert s1.pu_prime.values[left] == s1.pu_prime.values[right]
-        assert s2.u.values[left] == s2.u.values[right]
-        assert s2.pu_prime.values[left] == s2.pu_prime.values[right]
+        assert u1[left] == u1[right]
+        assert pu1[left] == pu1[right]
+        assert u2[left] == u2[right]
+        assert pu2[left] == pu2[right]
 
 
 def test_identity_shift_reproduces_powers(step_setup):
@@ -194,7 +194,7 @@ def test_truncation_residual_at_center(unit_basis, step_setup):
     for basis in (unit_basis, step_setup[4]):
         for which in ("first", "second"):
             res = truncation_residual(basis, basis.center, which)
-            scale = np.abs(evaluate_solution(basis, basis.center, which).pu_prime.values).max()
+            scale = np.abs(evaluate_solution(basis, basis.center, which)[1]).max()
             assert res <= 1e-10 * max(scale, 1.0)
 
 
@@ -208,8 +208,8 @@ def test_truncation_residual_off_center():
 
 
 def test_truncation_tail_grows_with_distance(unit_basis):
-    near = evaluate_solution(unit_basis, 0.5, "first").truncation_tail
-    far = evaluate_solution(unit_basis, 20.0, "first").truncation_tail
+    near = evaluate_solution(unit_basis, 0.5, "first")[2]
+    far = evaluate_solution(unit_basis, 20.0, "first")[2]
     assert 0 < near < far
 
 

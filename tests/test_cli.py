@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import pytest
@@ -37,6 +38,27 @@ def test_solve_trivial(capsys):
     assert lams[1] == pytest.approx(-math.pi**2, abs=1e-9)
     for r in rows:
         assert float(r["residual"]) <= 1e-8
+
+
+def test_solve_builds_the_mesh_once(capsys, monkeypatch):
+    import spps
+
+    calls = []
+    original = spps.mesh.build_mesh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("spps") and getattr(
+            module, "build_mesh", None
+        ) is original:
+            monkeypatch.setattr(module, "build_mesh", counting)
+    code, out, _ = run_cli(capsys, "solve", TRIVIAL)
+    assert code == 0
+    assert out.startswith("# n_powers=25 mesh_effective=1000 ")
+    assert len(calls) == 1
 
 
 def test_solve_writes_out_file(capsys, tmp_path):

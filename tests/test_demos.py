@@ -12,11 +12,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(script):
+def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(script)],
-        cwd=ROOT,
+        cwd=tmp_path,
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,

@@ -96,9 +96,9 @@ def test_negative_order_rejected():
 
 def test_bounds_unit_problem():
     _, fp = _unit_powers(10)
-    consts = check_bounds(fp)
-    assert consts.c1 == pytest.approx(1.0, rel=1e-13)
-    assert consts.c2 == pytest.approx(1.0, rel=1e-13)
+    c1, c2 = check_bounds(fp)
+    assert c1 == pytest.approx(1.0, rel=1e-13)
+    assert c2 == pytest.approx(1.0, rel=1e-13)
 
 
 def test_bounds_order_zero_equality():
@@ -113,8 +113,8 @@ def test_bounds_layered_problem():
 
     config, samples, _, _, start = prepare(layered_problem(n_terms=30, m=600), None, None)
     basis = build_basis(start, samples, 30)
-    consts = check_bounds(basis.powers)
-    assert consts.c1 > 0 and consts.c2 > 0 and np.isfinite(consts.c1 + consts.c2)
+    c1, c2 = check_bounds(basis.powers)
+    assert c1 > 0 and c2 > 0 and np.isfinite(c1 + c2)
 
 
 def test_bounds_catch_corruption():

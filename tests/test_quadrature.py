@@ -17,13 +17,14 @@ def _mesh(breaks, m):
 def test_weights_exact_fractions():
     w = derive_partial_weights()
     expect_full = np.array([95 / 288, 125 / 96, 125 / 144, 125 / 144, 125 / 96, 95 / 288])
-    assert np.array_equal(w.full_weights, expect_full)
-    assert np.array_equal(w.partial_weights[-1], w.full_weights)
+    assert w.shape == (5, 6)
+    assert not w.flags.writeable
+    assert np.array_equal(w[-1], expect_full)
 
 
 def test_weights_integrate_constants():
     w = derive_partial_weights()
-    sums = w.partial_weights.sum(axis=1)
+    sums = w.sum(axis=1)
     assert np.allclose(sums, [1, 2, 3, 4, 5], rtol=0, atol=1e-15)
 
 
@@ -31,7 +32,7 @@ def test_weights_degree_five_exact():
     w = derive_partial_weights()
     t = np.arange(6.0)
     for j in range(1, 6):
-        got = w.partial_weights[j - 1] @ (t**5)
+        got = w[j - 1] @ (t**5)
         assert got == pytest.approx(j**6 / 6.0, rel=1e-14)
 
 

@@ -13,14 +13,15 @@ from spps.errors import (
     DegeneratePolynomialError,
     SweepStalledError,
 )
-from spps.problems import prepare
+from spps.problems import SolverConfig, prepare, with_overrides
 from spps.spectral import (
+    POLICIES,
     BoundaryCondition,
     CharacteristicPolynomial,
-    ShiftSchedule,
+    _next_center,
     assemble_characteristic,
+    characteristic_at,
     count_zeros,
-    landscape,
     landscape_of,
     roots_of,
     sweep_eigenvalues,
@@ -267,7 +268,7 @@ def test_landscape_constant():
 
 def test_landscape_from_problem():
     problem = plain_problem(n_terms=20, m=200)
-    height, meta = landscape(problem, center=0.0, radius=12.0, grid=32)
+    height, meta = landscape_of(characteristic_at(problem, 0.0), 0.0, 12.0, 32)
     assert height.shape == (32, 32)
     assert meta["grid"] == 32
     # a peak should sit near lambda = -pi^2 on the real axis
@@ -276,15 +277,27 @@ def test_landscape_from_problem():
     assert abs(xs[peak_col] + math.pi**2) <= 1.0
 
 
+def test_characteristic_at_shifted_center():
+    problem = plain_problem(n_terms=20, m=200)
+    center = -9.0 + 0.5j
+    phi = characteristic_at(problem, center)
+    assert phi.center == center
+    config, samples, bcl, bcr, start = prepare(problem)
+    assert start.lambda_star != center
+    basis = shift_basis(build_basis(start, samples, config.n_terms), center)
+    expect = assemble_characteristic(basis, bcl, bcr)
+    assert np.array_equal(phi.coeffs, expect.coeffs)
+
+
 def test_landscape_grid_floor():
-    problem = plain_problem()
+    phi = CharacteristicPolynomial(np.array([1.0], dtype=complex), 0.0)
     with pytest.raises(ValueError):
-        landscape(problem, grid=8)
+        landscape_of(phi, 0.0, 10.0, 8)
 
 
 def test_landscape_peaks_near_eigenvalues_complex_layers():
     problem = layered_problem(complex_params=True, n_terms=60, m=3000)
-    height, meta = landscape(problem, center=0.0, radius=13.0, grid=129)
+    height, meta = landscape_of(characteristic_at(problem, 0.0), 0.0, 13.0, 129)
     from util import TABLE3
 
     xs = np.linspace(-13, 13, 129)
@@ -310,22 +323,42 @@ def test_landscape_peaks_near_eigenvalues_complex_layers():
 
 
 def test_schedule_policies():
-    always = ShiftSchedule(delta=0.5, policy="always_previous")
-    assert always.next_center([1.0 + 1j], 0.0) == 1.5 + 1j
-    fixed = ShiftSchedule(delta=0.5, policy="fixed_center")
-    assert fixed.next_center([1.0], 0.25) == 0.25
-    upper = ShiftSchedule(delta=0.5, policy="previous_if_upper_half")
-    assert upper.next_center([1 + 1j], 0.0) == 1.5 + 1j
+    always = SolverConfig(delta=0.5, policy="always_previous")
+    assert _next_center(always, [1.0 + 1j], 0.0) == 1.5 + 1j
+    fixed = SolverConfig(delta=0.5, policy="fixed_center")
+    assert _next_center(fixed, [1.0], 0.25) == 0.25
+    upper = SolverConfig(delta=0.5, policy="previous_if_upper_half")
+    assert _next_center(upper, [1 + 1j], 0.0) == 1.5 + 1j
     # negative imaginary part: fall back to the one before
-    assert upper.next_center([1 + 1j, 2 - 1j], 0.0) == 1.5 + 1j
-    assert upper.next_center([2 - 1j], 0.0) == 2.5 - 1j  # nothing earlier to use
-    with pytest.raises(ValueError):
-        ShiftSchedule(policy="bogus")
+    assert _next_center(upper, [1 + 1j, 2 - 1j], 0.0) == 1.5 + 1j
+    assert _next_center(upper, [2 - 1j], 0.0) == 2.5 - 1j  # nothing earlier to use
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_sweep_under_each_policy(bundled_problem, policy, delta):
+    problem = with_overrides(
+        bundled_problem("trivial"), policy=policy, delta=delta, max_eigenvalues=3
+    )
+    records = sweep_eigenvalues(problem)
+    assert len(records) == 3
+    for rec, k in zip(records, (3, 2, 1)):  # sorted by real part
+        assert abs(rec.lam + (k * math.pi) ** 2) <= 1e-9
+    # the walk from 0 meets -pi^2 first, then moves down the real axis
+    found = [rec.lam for rec in reversed(records)]
+    centers = [rec.center_used for rec in reversed(records)]
+    assert centers[0] == 0
+    for k in (1, 2):
+        if policy == "fixed_center":
+            expect = 0
+        elif policy == "always_previous" or found[k - 1].imag > 0 or k < 2:
+            expect = found[k - 1] + delta
+        else:
+            expect = found[k - 2] + delta
+        assert centers[k] == expect
 
 
 def test_sweep_zero_budget_returns_empty():
-    from spps.problems import with_overrides
-
     problem = with_overrides(plain_problem(), max_eigenvalues=0)
     assert sweep_eigenvalues(problem) == []
 
@@ -351,8 +384,6 @@ def test_sweep_step_problem_matches_reference(step_setup):
 
 
 def test_sweep_stalls_with_tiny_truncation():
-    from spps.problems import with_overrides
-
     # N = 3 cannot reach the second eigenvalue of the plain problem
     problem = with_overrides(plain_problem(n_terms=3, m=200), max_eigenvalues=3)
     with pytest.raises(SweepStalledError):
