@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BoundViolationError, NonvanishingError
 from .mesh import Mesh, SampledFunction
-from .quadrature import indefinite_integral, l1_norm
+from .quadrature import _workspace, indefinite_integral, l1_norm
 
 __all__ = [
     "FormalPowerSet",
@@ -86,10 +86,16 @@ def compute_formal_powers(f, p, r, n_terms):
     plain = np.empty(shape, dtype=np.complex128)
     tilde[0] = 1.0
     plain[0] = 1.0
+    # each integral is written straight into its row; the product row and
+    # the quadrature workspace are shared by all 2(2N+1) integrals
+    prod = np.empty(mesh.n_slots, dtype=np.complex128)
+    work = _workspace(mesh)
     for n in range(1, n_max + 1):
         wt, wp = (weight_r, weight_p) if n % 2 == 1 else (weight_p, weight_r)
-        tilde[n] = indefinite_integral(SampledFunction(mesh, tilde[n - 1] * wt)).values
-        plain[n] = indefinite_integral(SampledFunction(mesh, plain[n - 1] * wp)).values
+        for fam, weight in ((tilde, wt), (plain, wp)):
+            np.multiply(fam[n - 1], weight, out=prod)
+            # a fresh view each time: SampledFunction marks its array read-only
+            indefinite_integral(SampledFunction(mesh, prod[:]), out=fam[n], work=work)
 
     return FormalPowerSet(
         mesh=mesh,

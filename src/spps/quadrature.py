@@ -9,6 +9,12 @@ at every mesh node.
 Panels never cross a coefficient breakpoint.  Across a breakpoint the
 running value is carried from the left slot to the right slot, which makes
 the antiderivative continuous even when the integrand jumps.
+
+``indefinite_integral(g)`` allocates its result and scratch blocks.  A
+caller that integrates many rows on one mesh passes ``out=`` (the row to
+write, which must not overlap ``g.values``) and ``work=`` (one
+``_workspace(mesh)`` shared by all its calls); the samples are the same
+bits either way.  The result then wraps ``out``, so nothing is copied.
 """
 
 from __future__ import annotations
@@ -57,30 +63,60 @@ def _lagrange_coeffs(k):
     return [c / den for c in num]
 
 
-_PW_T = derive_partial_weights().T.copy()  # (6, 5), contiguous for the matmul
+# (6, 5), contiguous and complex, so the matmul casts nothing per call
+_PW_T = derive_partial_weights().T.astype(np.complex128)
 
 
-def _cumulative_from_a(mesh, values):
+def _workspace(mesh):
+    """Scratch blocks for integrals on ``mesh``: panel samples, panel integrals, starts.
+
+    One workspace serves any number of integrals on the same mesh, so a
+    caller that integrates many rows allocates these blocks once.
+    """
+    n_panels = mesh.panel_h.size
+    return (
+        np.empty((n_panels, 6), dtype=np.complex128),
+        np.empty((n_panels, 5), dtype=np.complex128),
+        np.empty(n_panels, dtype=np.complex128),
+    )
+
+
+def _cumulative_from_a(mesh, values, out=None, work=None):
     """Antiderivative samples anchored at the left endpoint (value 0 there)."""
-    seg = (values[mesh.panel_index] @ _PW_T) * mesh.panel_h[:, None]
-    starts = np.empty(seg.shape[0], dtype=np.complex128)
+    if out is None:
+        out = np.empty(mesh.n_slots, dtype=np.complex128)
+    panels, seg, starts = _workspace(mesh) if work is None else work
+    # the indices are in range; "clip" writes straight into ``panels``,
+    # where the default mode would fill a temporary and copy it
+    np.take(values, mesh.panel_index, out=panels, mode="clip")
+    np.matmul(panels, _PW_T, out=seg)
+    seg *= mesh.panel_h[:, None]
     starts[0] = 0.0
     np.cumsum(seg[:-1, -1], out=starts[1:])
-    out = np.empty(mesh.n_slots, dtype=np.complex128)
+    seg += starts[:, None]
     out[0] = 0.0
-    out[mesh.panel_index[:, 1:]] = starts[:, None] + seg
+    # a piece's panels tile its slots after the first node in order
+    first = 0
+    for offset, count in zip(mesh.offsets, mesh.piece_nsub):
+        last = first + count // 5
+        out[offset + 1 : offset + count + 1] = seg[first:last].reshape(-1)
+        first = last
     for left, right in mesh.breakpoint_slots:
         out[right] = out[left]
     return out
 
 
-def indefinite_integral(g):
+def indefinite_integral(g, *, out=None, work=None):
     """Cumulative integral of ``g`` from the left endpoint a.
 
     The result is exactly zero at a and continuous across breakpoints by
-    construction.
+    construction.  ``out`` (a writable complex128 row on the mesh, not
+    overlapping ``g.values``) receives the samples, and the result wraps
+    it, which leaves that array read-only.  ``work`` is a ``_workspace``
+    of the same mesh, reused across calls.  Both are optional and change
+    no bit of the result.
     """
-    return SampledFunction(g.mesh, _cumulative_from_a(g.mesh, g.values))
+    return SampledFunction(g.mesh, _cumulative_from_a(g.mesh, g.values, out, work))
 
 
 def l1_norm(g):

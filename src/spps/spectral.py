@@ -30,6 +30,7 @@ from .errors import (
     ConfigurationError,
     ContourError,
     DegeneratePolynomialError,
+    InputError,
     ShiftFailureError,
     SolverError,
     SweepStalledError,
@@ -288,7 +289,7 @@ def count_zeros(phi_evaluator, center, radius, samples=512):
     sample count (up to 2^18).
     """
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise InputError(f"radius must be positive, got {radius}")
     n = max(int(samples), 256)
     while True:
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
@@ -490,7 +491,7 @@ def landscape_of(phi, center, radius, grid):
     grid lies beyond it.
     """
     if grid < 16:
-        raise ValueError("grid must be at least 16")
+        raise InputError(f"grid must be at least 16, got {grid}")
     center = complex(center)
     re = np.linspace(center.real - radius, center.real + radius, grid)
     im = np.linspace(center.imag + radius, center.imag - radius, grid)

@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,16 @@ def parse_table(out):
 
 
 TRIVIAL = fixture_path("trivial.prob")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_process(*args):
+    """Run the CLI in its own interpreter, so an uncaught exception shows."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "spps.cli", *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def test_solve_trivial(capsys):
@@ -139,6 +152,20 @@ def test_count_step_potential_unit_disk(capsys):
     )
     assert code == 0
     assert out.strip() == "2"
+
+
+def test_count_nonpositive_radius_exit_2():
+    proc = run_cli_process("count", TRIVIAL, "--radius", "0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: radius must be positive")
+    assert "Traceback" not in proc.stderr
+
+
+def test_landscape_small_grid_exit_2():
+    proc = run_cli_process("landscape", TRIVIAL, "--radius", "3", "--grid", "8")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: grid must be at least 16")
+    assert "Traceback" not in proc.stderr
 
 
 def test_landscape_command(capsys, tmp_path):

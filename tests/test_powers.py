@@ -79,6 +79,27 @@ def test_interleaving_identity():
     assert np.abs(fa.plain - fb.tilde).max() <= 1e-14
 
 
+def test_rows_are_written_in_place(monkeypatch):
+    # each integral lands in its own row of tilde/plain, with no copy after
+    import spps.powers
+
+    results = []
+    original = spps.powers.indefinite_integral
+
+    def recording(g, **kwargs):
+        results.append(original(g, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(spps.powers, "indefinite_integral", recording)
+    s = unit_samples(200)
+    f = SampledFunction(s.mesh, 2.0 + s.mesh.xs**2)
+    fp = compute_formal_powers(f, s.p, s.r, 3)
+    assert len(results) == 2 * (2 * 3 + 1)
+    for n in range(1, fp.n_max + 1):
+        assert np.shares_memory(results[2 * (n - 1)].values, fp.tilde[n])
+        assert np.shares_memory(results[2 * n - 1].values, fp.plain[n])
+
+
 def test_vanishing_f_rejected_with_location():
     s = unit_samples(50)
     f_vals = s.mesh.xs - 0.5  # zero at the node 0.5

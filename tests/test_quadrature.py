@@ -5,7 +5,7 @@ import pytest
 
 from spps.expressions import parse
 from spps.mesh import Interval, Piece, SampledFunction, build_mesh, constant_function
-from spps.quadrature import derive_partial_weights, indefinite_integral, l1_norm
+from spps.quadrature import _workspace, derive_partial_weights, indefinite_integral, l1_norm
 
 
 def _mesh(breaks, m):
@@ -124,6 +124,33 @@ def test_breakpoint_continuity_is_exact():
     got = indefinite_integral(g)
     for left, right in mesh.breakpoint_slots:
         assert got.values[left] == got.values[right]
+
+
+def test_in_place_integral_is_bit_identical():
+    # three pieces of 20, 70 and 30 subintervals: each piece's panels must
+    # land in its own slots when the result is written into a given row
+    mesh = _mesh([-1.0, -0.7, 0.5, 1.0], 115)
+    assert mesh.piece_nsub == (20, 70, 30)
+    x = mesh.xs
+    piece = np.repeat(np.arange(3), [n + 1 for n in mesh.piece_nsub])
+    integrands = {
+        "smooth": np.exp(x) * np.cos(3.0 * x),
+        "jumping": np.choose(piece, [1.0, -2.0, 0.5]) * (1.0 + x**2),
+        "complex": np.choose(piece, [1.0 + 2.0j, -0.5j, 3.0]) * np.sin(x) + 1j * x**3,
+    }
+    shared = _workspace(mesh)
+    for name, vals in integrands.items():
+        g = SampledFunction(mesh, vals.astype(complex))
+        expect = indefinite_integral(g).values
+        row = np.full(mesh.n_slots, np.nan, dtype=complex)
+        got = indefinite_integral(g, out=row, work=shared).values
+        fresh = indefinite_integral(g, out=np.empty_like(row), work=_workspace(mesh)).values
+        assert np.shares_memory(got, row), name
+        assert np.array_equal(got, expect), name
+        assert got.tobytes() == expect.tobytes() == fresh.tobytes(), name
+        assert got[0] == 0.0 and not np.signbit(got[0].real) and not np.signbit(got[0].imag)
+        for left, right in mesh.breakpoint_slots:
+            assert got[left : left + 1].tobytes() == got[right : right + 1].tobytes(), name
 
 
 def test_l1_norm_examples():

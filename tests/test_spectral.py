@@ -11,6 +11,7 @@ from spps.errors import (
     ConfigurationError,
     ContourError,
     DegeneratePolynomialError,
+    InputError,
     SweepStalledError,
 )
 from spps.problems import SolverConfig, prepare, with_overrides
@@ -235,7 +236,7 @@ def test_count_matches_sweep_inside_disk(step_setup):
 
 def test_count_requires_positive_radius():
     phi = CharacteristicPolynomial(np.array([1.0, 1.0], dtype=complex), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         count_zeros(phi.evaluate, 0.0, 0.0)
 
 
@@ -291,7 +292,7 @@ def test_characteristic_at_shifted_center():
 
 def test_landscape_grid_floor():
     phi = CharacteristicPolynomial(np.array([1.0], dtype=complex), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         landscape_of(phi, 0.0, 10.0, 8)
 
 
