@@ -282,21 +282,34 @@ def _tail_indicator(mu, n, last_row, series_sum):
 
 
 TRUST_TAIL_LIMIT = 1e-10
+# a series whose tail stays below this reproduces the longer one to an ulp
+EXACT_TAIL = 2.0**-56
 
 
-def shift_basis(basis, new_center, combination=None):
-    """Recentre the basis at ``new_center``.
+def _evaluate_both(basis, new_center):
+    u1, pu1, tail1 = evaluate_solution(basis, new_center, "first")
+    u2, pu2, tail2 = evaluate_solution(basis, new_center, "second")
+    return u1, pu1, u2, pu2, max(tail1, tail2)
+
+
+def shift_basis(basis, new_center, combination=None, n_terms=None):
+    """Recentre the basis at ``new_center``, rebuilt with ``n_terms`` powers.
 
     Evaluates both solutions there, picks the combination c1*u1 + c2*u2
     maximising min|f*|/max|f*| (or uses ``combination`` verbatim), and
     rebuilds the powers on it; ``build_basis`` verifies the recentred
-    particular solution.  The returned basis carries the series tail at
-    ``new_center`` as ``shift_tail``.
+    particular solution.  ``n_terms`` defaults to the basis's own order.  A
+    shorter basis whose tail at ``new_center`` exceeds EXACT_TAIL is first
+    rebuilt at ``n_terms`` on its particular solution, so the evaluation is
+    the one a basis of full order gives.  The returned basis carries the
+    series tail at ``new_center`` as ``shift_tail``.
     """
     new_center = complex(new_center)
-    u1, pu1, tail1 = evaluate_solution(basis, new_center, "first")
-    u2, pu2, tail2 = evaluate_solution(basis, new_center, "second")
-    tail = max(tail1, tail2)
+    n_terms = basis.n_terms if n_terms is None else n_terms
+    u1, pu1, u2, pu2, tail = _evaluate_both(basis, new_center)
+    if basis.n_terms < n_terms and tail > EXACT_TAIL:
+        basis = build_basis(basis.particular, basis.samples, n_terms)
+        u1, pu1, u2, pu2, tail = _evaluate_both(basis, new_center)
     if tail > TRUST_TAIL_LIMIT:
         raise ShiftFailureError(
             f"shift from {basis.center} to {new_center} leaves the trust region "
@@ -333,7 +346,7 @@ def shift_basis(basis, new_center, combination=None):
         lambda_star=new_center,
     )
     try:
-        shifted = build_basis(ps, basis.samples, basis.n_terms)
+        shifted = build_basis(ps, basis.samples, n_terms)
     except ParticularResidualError as exc:
         # the recentred solution does not satisfy its equation to tolerance:
         # the shift itself failed (accumulated roundoff or resolution limit)

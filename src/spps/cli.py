@@ -111,6 +111,14 @@ def cmd_solve(args):
     records = sweep_eigenvalues(problem)
     elapsed = time.perf_counter() - start
     _emit(_result_lines(problem, records, elapsed), args.out)
+    wanted = problem.solver.max_eigenvalues
+    if len(records) < wanted:
+        # the walk stopped early: the table is all that was found, not an answer
+        print(
+            f"solver error: sweep stopped after {len(records)} of {wanted} eigenvalues",
+            file=sys.stderr,
+        )
+        return EXIT_SOLVER
     return EXIT_OK
 
 
@@ -133,8 +141,7 @@ def cmd_landscape(args):
 def cmd_count(args):
     problem = _load_with_overrides(args)
     center = parse_complex(args.center)
-    # expanded at the starting center, whatever the contour's center
-    phi = characteristic_at(problem)
+    phi = characteristic_at(problem, center)
     n = count_zeros(phi.evaluate, center, args.radius, samples=args.samples)
     sys.stdout.write(f"{n}\n")
     return EXIT_OK

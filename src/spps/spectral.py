@@ -14,7 +14,10 @@ of that polynomial and are polished by a few Newton steps.
 The sweep walks the spectrum: find the nearest new root, validate it by
 recentring the basis there (a true eigenvalue makes the recentred
 polynomial vanish at its own center), then move the center according to
-the shift schedule and repeat.
+the shift schedule and repeat.  A validation basis is built only at the
+order the current polynomial needs near its center and one step beyond;
+it is rebuilt at full order whenever that short series cannot match the
+full one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .basis import build_basis, shift_basis
+from .basis import EXACT_TAIL, build_basis, shift_basis
 from .errors import (
     ConfigurationError,
     ContourError,
@@ -364,7 +367,8 @@ def sweep_eigenvalues(problem, config=None, particular=None):
     if config.max_eigenvalues <= 0:
         return []
 
-    basis = build_basis(start, samples, config.n_terms)
+    n_full = config.n_terms
+    basis = build_basis(start, samples, n_full)
 
     records = []
     found = []
@@ -372,6 +376,7 @@ def sweep_eigenvalues(problem, config=None, particular=None):
         phi = assemble_characteristic(basis, bc_left, bc_right)
         candidates = roots_of(phi)
         order = np.argsort(np.abs(candidates - basis.center))
+        n_valid = _validation_order(phi, config)
         failures = 0
         residual = None
         for idx in order:
@@ -380,8 +385,16 @@ def sweep_eigenvalues(problem, config=None, particular=None):
                 continue
             vbasis = None  # free the previous validation basis before building the next
             try:
-                vbasis = shift_basis(basis, cand)
+                vbasis = shift_basis(basis, cand, n_terms=n_valid)
                 vphi = assemble_characteristic(vbasis, bc_left, bc_right)
+                if (
+                    vbasis.n_terms < n_full
+                    and abs(vphi.coeffs[vbasis.n_terms]) >= EXACT_TAIL * vphi.scale
+                ):
+                    # the short series is not complete: its last coefficient
+                    # still counts, so the polynomial needs the full order
+                    vbasis = _full_order(vbasis, n_full)
+                    vphi = assemble_characteristic(vbasis, bc_left, bc_right)
                 residual = abs(vphi.coeffs[0]) / vphi.scale
             except SolverError:
                 pass
@@ -414,7 +427,8 @@ def sweep_eigenvalues(problem, config=None, particular=None):
             break
         next_center = _next_center(config, found, basis.center)
         if next_center == vbasis.center:
-            basis = vbasis
+            basis = vbasis  # the old basis is freed before the rebuild
+            basis = _full_order(basis, n_full)
         elif config.policy != "fixed_center":
             # Re-expand even when next_center is only ~1e-12 from the
             # validation center (delta = 0, after refinement): the rebuild
@@ -423,7 +437,7 @@ def sweep_eigenvalues(problem, config=None, particular=None):
             # piecewise-constant problems and moved eigenvalues by up to 9e-12.
             basis = vbasis  # the old basis is freed before the build
             try:
-                basis = shift_basis(basis, next_center)
+                basis = shift_basis(basis, next_center, n_terms=n_full)
             except ShiftFailureError:
                 break  # cannot continue the walk; report what was found
 
@@ -431,6 +445,31 @@ def sweep_eigenvalues(problem, config=None, particular=None):
         records.sort(key=lambda rec: rec.lam.real)
         records = [replace(rec, index=i) for i, rec in enumerate(records)]
     return records
+
+
+def _validation_order(phi, config):
+    """Order of the series that validates the candidates of ``phi``.
+
+    A validation basis is read within about 1e-12 of its center and at the
+    next center, |delta| away.  Over R = max(1, |delta|) the terms of
+    ``phi`` beyond the last one above EXACT_TAIL of the largest add nothing;
+    two more terms are kept as a margin.  ``shift_basis`` and the sweep
+    rebuild at full order whenever this falls short.
+    """
+    reach = max(1.0, abs(complex(config.delta)))
+    # log-space: reach**k overflows for large steps
+    with np.errstate(divide="ignore"):
+        log_terms = np.log(np.abs(phi.coeffs)) + math.log(reach) * np.arange(phi.coeffs.size)
+    last = int(np.flatnonzero(log_terms >= log_terms.max() + math.log(EXACT_TAIL))[-1])
+    return min(config.n_terms, last + 2)
+
+
+def _full_order(vbasis, n_terms):
+    """``vbasis`` itself, or rebuilt at ``n_terms`` on its particular solution."""
+    if vbasis.n_terms >= n_terms:
+        return vbasis
+    full = build_basis(vbasis.particular, vbasis.samples, n_terms)
+    return replace(full, shift_tail=vbasis.shift_tail)
 
 
 def _next_center(config, found, current):

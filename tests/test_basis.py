@@ -178,6 +178,40 @@ def test_shift_beyond_trust_region_fails(unit_basis):
         shift_basis(unit_basis, 1e6)
 
 
+@pytest.mark.parametrize("name", ["trivial", "example4"])
+def test_shift_from_short_basis_equals_shift_from_full(bundled_problem, monkeypatch, name):
+    from spps import basis as basis_module
+    from spps.spectral import assemble_characteristic, roots_of
+
+    config, samples, bcl, bcr, start = prepare(bundled_problem(name))
+    n_full = config.n_terms
+    basis = build_basis(start, samples, n_full)
+    roots = roots_of(assemble_characteristic(basis, bcl, bcr))
+    cand = complex(roots[np.argmin(np.abs(roots - basis.center))])
+    short = shift_basis(basis, cand, n_terms=10)
+    full = shift_basis(basis, cand)
+    assert (short.n_terms, full.n_terms) == (10, n_full)
+
+    builds = []
+    original = basis_module.build_basis
+
+    def counting(particular, samples, n_terms):
+        builds.append(n_terms)
+        return original(particular, samples, n_terms)
+
+    monkeypatch.setattr(basis_module, "build_basis", counting)
+    for step in (1e-12, 0.3, 3.0):
+        builds.clear()
+        from_short = shift_basis(short, cand + step, n_terms=n_full)
+        rebuilt = len(builds) == 2  # the short series could not reach: full-order rebuild first
+        from_full = shift_basis(full, cand + step)
+        assert from_short.n_terms == n_full
+        assert np.array_equal(from_short.powers.tilde, from_full.powers.tilde)
+        assert np.array_equal(from_short.powers.plain, from_full.powers.plain)
+        assert np.array_equal(from_short.particular.f.values, from_full.particular.f.values)
+        assert rebuilt == (name == "trivial" and step == 3.0)
+
+
 def test_scheduled_shift_quality_gate():
     # a coarse mesh cannot support a long chain of shifts; the failure mode
     # must be ShiftFailureError, which the sweep treats as a graceful stop

@@ -154,6 +154,30 @@ def test_count_step_potential_unit_disk(capsys):
     assert out.strip() == "2"
 
 
+def test_count_expands_at_the_contour_center():
+    # -(7 pi)^2 lies inside, but one shift from 0 cannot reach it: a failure, not a count
+    proc = run_cli_process("count", TRIVIAL, "--center=-483.61", "--radius", "5")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("solver error: ")
+    assert "leaves the trust region" in proc.stderr
+    assert proc.stdout == ""
+    proc = run_cli_process("count", TRIVIAL, "--center=-88.83", "--radius", "5")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "1"
+
+
+def test_solve_short_sweep_prints_table_and_exit_3(tmp_path):
+    # with delta = 20 the walk stops on a failed shift after five eigenvalues
+    out_file = tmp_path / "table.csv"
+    proc = run_cli_process(
+        "solve", TRIVIAL, "--delta", "20", "--max-eigs", "6", "--out", out_file
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "solver error: sweep stopped after 5 of 6 eigenvalues\n"
+    assert len(parse_table(proc.stdout)) == 5
+    assert out_file.read_text(encoding="utf-8") == proc.stdout
+
+
 def test_count_nonpositive_radius_exit_2():
     proc = run_cli_process("count", TRIVIAL, "--radius", "0")
     assert proc.returncode == 2

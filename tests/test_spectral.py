@@ -28,7 +28,13 @@ from spps.spectral import (
     sweep_eigenvalues,
 )
 
-from util import TABLE1, layered_problem, plain_problem, step_potential_problem
+from util import (
+    TABLE1,
+    layered_problem,
+    plain_problem,
+    step_potential_problem,
+    three_piece_problem,
+)
 
 
 @pytest.fixture(scope="module")
@@ -435,3 +441,76 @@ def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, mo
 def test_trust_radius_monotone_in_tolerance():
     phi = CharacteristicPolynomial(np.array([1.0, 0.5, 0.25, 1e-20], dtype=complex), 0.0)
     assert phi.trust_radius(1e-8) <= phi.trust_radius(1e-4)
+
+
+def _sweep_with_orders(problem, monkeypatch):
+    """Records of the sweep and the n_terms of every power build, in order.
+
+    The starting solution is prepared first, so a seed build is not counted.
+    """
+    config, _, _, _, start = prepare(problem)
+    orders = []
+    original = basis_module.compute_formal_powers
+
+    def recording(f, p, r, n_terms):
+        orders.append(n_terms)
+        return original(f, p, r, n_terms)
+
+    with monkeypatch.context() as m:
+        m.setattr(basis_module, "compute_formal_powers", recording)
+        records = sweep_eigenvalues(problem, config, particular=start)
+    return records, orders
+
+
+def _assert_same_records(records, reference):
+    assert len(records) == len(reference)
+    for rec, ref in zip(records, reference):
+        for got, want in (
+            (rec.lam.real, ref.lam.real),
+            (rec.center_used.real, ref.center_used.real),
+            (rec.validation_residual, ref.validation_residual),
+            (rec.tail_indicator, ref.tail_indicator),
+        ):
+            assert float(got).hex() == float(want).hex()
+        # imaginary parts of real problems are roundoff and may move in their last bits
+        assert abs(rec.lam.imag - ref.lam.imag) <= 1e-20
+        assert abs(rec.center_used.imag - ref.center_used.imag) <= 1e-20
+
+
+@pytest.mark.parametrize("name", ["trivial", "three_pieces"])
+def test_validation_is_short_and_matches_full_order(bundled_problem, monkeypatch, name):
+    problem = bundled_problem("trivial") if name == "trivial" else three_piece_problem()
+    n_full = problem.solver.n_terms
+
+    records, orders = _sweep_with_orders(problem, monkeypatch)
+    # start basis, then per eigenvalue one validation build and one
+    # re-expansion (none after the last): no full-order fallback fired
+    assert len(orders) == 2 * len(records)
+    assert all(n == n_full for n in orders[0::2])
+    assert all(n < n_full for n in orders[1::2])
+
+    def full_order(phi, config):
+        return config.n_terms
+
+    # an unrefined root makes the validation center the next center, so the
+    # short validation basis is rebuilt at full order to become the main one
+    with monkeypatch.context() as m:
+        m.setattr(spectral_module, "_refine_in_frame", lambda vphi, cand: cand)
+        unrefined, unrefined_orders = _sweep_with_orders(problem, m)
+        m.setattr(spectral_module, "_validation_order", full_order)
+        unrefined_full, _ = _sweep_with_orders(problem, m)
+    assert all(n == n_full for n in unrefined_orders[0::2])
+    assert all(n < n_full for n in unrefined_orders[1::2])
+    _assert_same_records(unrefined, unrefined_full)
+
+    monkeypatch.setattr(spectral_module, "_validation_order", full_order)
+    reference, ref_orders = _sweep_with_orders(problem, monkeypatch)
+    assert set(ref_orders) == {n_full}
+    _assert_same_records(records, reference)
+
+    # order 1 is never complete: every validation is rebuilt at full order
+    monkeypatch.setattr(spectral_module, "_validation_order", lambda phi, config: 1)
+    forced, forced_orders = _sweep_with_orders(problem, monkeypatch)
+    shorts = [i for i, n in enumerate(forced_orders) if n == 1]
+    assert shorts and all(forced_orders[i + 1] == n_full for i in shorts)
+    _assert_same_records(forced, reference)

@@ -60,6 +60,22 @@ def layered_problem(complex_params=False, n_terms=60, m=3000, max_eigs=4, delta=
     )
 
 
+def three_piece_problem(max_eigs=3):
+    """Piecewise-constant p, q, r on three pieces of [-1, 1], at the default mesh and order."""
+    values = (
+        (-1.0, -0.3, "-1", "0.5", "1"),
+        (-0.3, 0.4, "-1.5", "-2", "2"),
+        (0.4, 1.0, "-0.7", "3", "0.6"),
+    )
+    return Problem(
+        interval=Interval(-1.0, 1.0),
+        pieces=tuple(Piece(lo, hi, parse(p), parse(q), parse(r)) for lo, hi, p, q, r in values),
+        bc_left=BoundaryCondition("left", [1], [0], "p_u_prime"),
+        bc_right=BoundaryCondition("right", [1], [0.5], "p_u_prime"),
+        solver=SolverConfig(max_eigenvalues=max_eigs),
+    )
+
+
 def vanishing_weight_problem(n_terms=40, m=3000, max_eigs=3):
     """-u'' + u = lam r u with r = 0 on the left half, Dirichlet ends."""
     return Problem(
