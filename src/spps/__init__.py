@@ -16,7 +16,6 @@ from .basis import (
     build_seed_solution,
     evaluate_solution,
     shift_basis,
-    truncation_residual,
 )
 from .errors import (
     InputError,
@@ -44,7 +43,6 @@ from .problems import (
     fixture_path,
     load_problem,
     parse_problem,
-    problem_to_text,
     sample_problem,
 )
 from .quadrature import (
@@ -52,7 +50,6 @@ from .quadrature import (
     indefinite_integral,
     l1_norm,
 )
-from .shooting import ShootingResult, refine_root, shoot
 from .spectral import (
     BoundaryCondition,
     CharacteristicPolynomial,
@@ -87,7 +84,6 @@ __all__ = [
     "build_basis",
     "evaluate_solution",
     "shift_basis",
-    "truncation_residual",
     "BoundaryCondition",
     "CharacteristicPolynomial",
     "EigenvalueRecord",
@@ -101,12 +97,8 @@ __all__ = [
     "ParticularPiece",
     "parse_problem",
     "load_problem",
-    "problem_to_text",
     "sample_problem",
     "fixture_path",
-    "ShootingResult",
-    "shoot",
-    "refine_root",
     "SppsError",
     "InputError",
     "SolverError",

@@ -45,7 +45,6 @@ __all__ = [
     "build_basis",
     "evaluate_solution",
     "shift_basis",
-    "truncation_residual",
 ]
 
 # combinations (c1, c2) tried when mixing the two series solutions into a
@@ -355,24 +354,3 @@ def shift_basis(basis, new_center, combination=None, n_terms=None):
             "use a smaller displacement, more series terms, or a finer mesh"
         ) from exc
     return replace(shifted, shift_tail=tail)
-
-
-def truncation_residual(basis, lam, which="first"):
-    """Integrated-equation residual of the N-term partial sum.
-
-    With u_N and u_{N-1} the partial sums with N and N-1 terms, the exact
-    identity (p u_N')' = mu r u_{N-1} - (q - center r) u_N holds term by
-    term, so the integrated residual vanishes up to quadrature error plus
-    the single dropped term.
-    """
-    n = basis.n_terms
-    u, pu, _ = evaluate_solution(basis, lam, which, n_terms=n)
-    u_prev = evaluate_solution(basis, lam, which, n_terms=n - 1)[0] if n >= 1 else u
-    mu = complex(lam) - basis.center
-    samples = basis.samples
-    integrand = mu * samples.r.values * u_prev - (
-        samples.q.values - basis.center * samples.r.values
-    ) * u
-    acc = indefinite_integral(SampledFunction(samples.mesh, integrand))
-    res = pu - pu[0] - acc.values
-    return float(np.abs(res).max())

@@ -32,7 +32,6 @@ from .problems import (
     prepare,
     with_overrides,
 )
-from .shooting import shoot
 from .spectral import (
     POLICIES,
     characteristic_at,
@@ -181,16 +180,6 @@ def cmd_powers(args):
     return EXIT_OK
 
 
-def cmd_shoot(args):
-    problem = _load_with_overrides(args)
-    lam = parse_complex(args.lam)
-    result = shoot(problem, lam, steps_per_piece=args.steps)
-    sys.stdout.write(
-        f"mismatch={format_complex(result.mismatch)} steps={result.step_count}\n"
-    )
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spps",
@@ -230,13 +219,6 @@ def build_parser():
     p_powers.add_argument("--n", type=int, required=True, help="power index")
     p_powers.add_argument("--at", type=float, required=True, help="evaluation point (mesh node)")
     p_powers.set_defaults(func=cmd_powers)
-
-    # maintenance-only shooting surface, hidden from the overview
-    p_shoot = sub.add_parser("shoot", help=argparse.SUPPRESS)
-    _add_common_overrides(p_shoot)
-    p_shoot.add_argument("--lambda", dest="lam", required=True, help="spectral parameter (complex)")
-    p_shoot.add_argument("--steps", type=int, default=1000, help="RK4 steps per piece")
-    p_shoot.set_defaults(func=cmd_shoot)
 
     return parser
 

@@ -100,6 +100,3 @@ class ContourError(SolverError):
 class SweepStalledError(SolverError):
     """The eigenvalue sweep could not validate any further candidate roots."""
 
-
-class OracleConvergenceError(SolverError):
-    """The shooting oracle's root refinement did not converge."""

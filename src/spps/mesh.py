@@ -112,7 +112,8 @@ class Mesh:
     def slot_of(self, x):
         """Slot index of the mesh node at coordinate ``x`` (left slot if doubled)."""
         k = int(np.argmin(np.abs(self.xs - x)))
-        if abs(self.xs[k] - x) > 1e-9 * (1.0 + abs(x)):
+        # scaled by the node, not by x, so an infinite or NaN x fails too
+        if not abs(self.xs[k] - x) <= 1e-9 * (1.0 + abs(self.xs[k])):
             raise MeshError(f"x={x} is not a mesh node")
         return k
 

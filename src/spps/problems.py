@@ -61,7 +61,6 @@ __all__ = [
     "Problem",
     "parse_problem",
     "load_problem",
-    "problem_to_text",
     "sample_problem",
     "particular_for",
     "prepare",
@@ -88,7 +87,7 @@ class SolverConfig:
             raise ProblemFormatError(f"unknown policy {self.policy!r}; pick one of {POLICIES}")
         if self.n_terms < 0:
             raise ProblemFormatError("n_powers must be nonnegative")
-        if self.accept_threshold <= 0:
+        if not self.accept_threshold > 0:  # also catches NaN
             raise ProblemFormatError("accept_threshold must be positive")
 
 
@@ -324,50 +323,6 @@ def load_problem(path):
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
     return parse_problem(text)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def problem_to_text(problem):
-    lines = ["[interval]", f"a = {problem.interval.a:.17g}", f"b = {problem.interval.b:.17g}", ""]
-    for i, piece in enumerate(problem.pieces):
-        lines += [
-            "[piece]",
-            f"from = {piece.lo:.17g}",
-            f"to = {piece.hi:.17g}",
-            f'p = "{expressions.to_string(piece.p)}"',
-            f'q = "{expressions.to_string(piece.q)}"',
-            f'r = "{expressions.to_string(piece.r)}"',
-        ]
-        if problem.particular is not None:
-            pp = problem.particular[i]
-            lines.append(f'f = "{expressions.to_string(pp.f)}"')
-            if pp.f_prime is not None:
-                lines.append(f'f_prime = "{expressions.to_string(pp.f_prime)}"')
-            else:
-                lines.append(f'pf_prime = "{expressions.to_string(pp.pf_prime)}"')
-        lines.append("")
-    for name, bc in (("bc_left", problem.bc_left), ("bc_right", problem.bc_right)):
-        lines += [
-            f"[{name}]",
-            "alpha = " + ", ".join(format_complex(c) for c in bc.alpha),
-            "beta = " + ", ".join(format_complex(c) for c in bc.beta),
-            f"derivative = {bc.derivative_form}",
-            "",
-        ]
-    s = problem.solver
-    lines += [
-        "[solver]",
-        f"n_powers = {s.n_terms}",
-        f"mesh = {s.mesh_m}",
-        f"delta = {format_complex(s.delta)}",
-        f"policy = {s.policy}",
-        f"max_eigenvalues = {s.max_eigenvalues}",
-        f"accept_threshold = {s.accept_threshold:.17g}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -82,19 +82,6 @@ class BoundaryCondition:
     beta: np.ndarray
     derivative_form: str = "u_prime"
 
-    def __eq__(self, other):
-        if not isinstance(other, BoundaryCondition):
-            return NotImplemented
-        return (
-            self.endpoint == other.endpoint
-            and self.derivative_form == other.derivative_form
-            and np.array_equal(self.alpha, other.alpha)
-            and np.array_equal(self.beta, other.beta)
-        )
-
-    def __hash__(self):
-        return hash((self.endpoint, self.derivative_form, self.alpha.tobytes(), self.beta.tobytes()))
-
     def __post_init__(self):
         if self.endpoint not in ("left", "right"):
             raise ValueError(f"endpoint must be 'left' or 'right', got {self.endpoint!r}")
@@ -291,8 +278,8 @@ def count_zeros(phi_evaluator, center, radius, samples=512):
     any increment near +-pi is ambiguous and triggers doubling of the
     sample count (up to 2^18).
     """
-    if radius <= 0:
-        raise InputError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:  # also catches NaN
+        raise InputError(f"radius must be positive and finite, got {radius}")
     n = max(int(samples), 256)
     while True:
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
@@ -529,6 +516,8 @@ def landscape_of(phi, center, radius, grid):
     and a metadata dict including the trust radius and how much of the
     grid lies beyond it.
     """
+    if not 0.0 < radius < math.inf:  # also catches NaN
+        raise InputError(f"radius must be positive and finite, got {radius}")
     if grid < 16:
         raise InputError(f"grid must be at least 16, got {grid}")
     center = complex(center)

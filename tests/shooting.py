@@ -1,4 +1,4 @@
-"""Shooting cross-check, independent of the series machinery.
+"""Shooting oracle for the tests, independent of the series machinery.
 
 The pair (u, p u') is propagated from a to b by classical fixed-step RK4,
 piece by piece, with the state carried unchanged across breakpoints (the
@@ -13,20 +13,9 @@ quadrature code it is used to check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import expressions
-from .errors import OracleConvergenceError
-
-__all__ = ["ShootingResult", "shoot", "refine_root"]
-
-
-@dataclass(frozen=True)
-class ShootingResult:
-    mismatch: complex
-    step_count: int
+from spps import expressions
 
 
 def _poly_at(coeffs, lam):
@@ -57,7 +46,6 @@ def shoot(problem, lam, steps_per_piece=1000):
     u = b_l
     v = -a_l
 
-    steps = 0
     for piece in problem.pieces:
         n = int(steps_per_piece)
         h = (piece.hi - piece.lo) / n
@@ -95,19 +83,18 @@ def shoot(problem, lam, steps_per_piece=1000):
             k4v = c1 * u4
             u = u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u)
             v = v + h6 * (k1v + 2.0 * (k2v + k3v) + k4v)
-        steps += n
 
     p_at_b = complex(expressions.evaluate(problem.pieces[-1].p, problem.interval.b))
     a_r, b_r = _bc_pair(problem.bc_right, lam, p_at_b)
-    return ShootingResult(mismatch=a_r * u + b_r * v, step_count=steps)
+    return a_r * u + b_r * v
 
 
 def refine_root(problem, lam_guess, steps_per_piece=1000, tol=1e-12, max_iter=50):
     """Secant iteration on the shooting mismatch from ``lam_guess``."""
     x0 = complex(lam_guess)
     x1 = x0 + 1e-4 * (1.0 + abs(x0))
-    f0 = shoot(problem, x0, steps_per_piece).mismatch
-    f1 = shoot(problem, x1, steps_per_piece).mismatch
+    f0 = shoot(problem, x0, steps_per_piece)
+    f1 = shoot(problem, x1, steps_per_piece)
     for _ in range(max_iter):
         if f1 == 0:
             return x1
@@ -118,7 +105,7 @@ def refine_root(problem, lam_guess, steps_per_piece=1000, tol=1e-12, max_iter=50
             return x2
         x0, f0 = x1, f1
         x1 = x2
-        f1 = shoot(problem, x1, steps_per_piece).mismatch
-    raise OracleConvergenceError(
+        f1 = shoot(problem, x1, steps_per_piece)
+    raise AssertionError(
         f"secant iteration from {lam_guess} did not converge in {max_iter} steps"
     )

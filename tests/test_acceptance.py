@@ -16,7 +16,6 @@ from spps.basis import (
     build_basis,
     evaluate_solution,
     shift_basis,
-    truncation_residual,
 )
 from spps.mesh import SampledFunction
 from spps.powers import check_bounds
@@ -27,9 +26,9 @@ from spps.problems import (
     prepare,
     with_overrides,
 )
-from spps.shooting import refine_root
 from spps.spectral import assemble_characteristic, count_zeros, sweep_eigenvalues
 
+from shooting import refine_root
 from util import (
     COMPLEX_LAYERS_TWELFTH,
     TABLE1,
@@ -40,6 +39,7 @@ from util import (
     layered_dirichlet_mismatch,
     newton_root,
     step_potential_problem,
+    truncation_residual,
     winding_count,
 )
 

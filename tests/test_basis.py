@@ -11,7 +11,6 @@ from spps.basis import (
     particular_from_samples,
     particular_residual,
     shift_basis,
-    truncation_residual,
 )
 from spps.errors import (
     NonvanishingError,
@@ -25,6 +24,7 @@ from util import (
     TABLE1,
     plain_problem,
     step_potential_problem,
+    truncation_residual,
     unit_samples,
     vanishing_weight_problem,
 )

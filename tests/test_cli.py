@@ -125,6 +125,14 @@ def test_powers_bad_index(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("at", ["inf", "nan"])
+def test_powers_nonfinite_point_exit_2(at):
+    proc = run_cli_process("powers", TRIVIAL, "--n", "0", "--at", at)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: x={at} is not a mesh node")
+    assert proc.stdout == ""
+
+
 def test_powers_cross_checked_against_closed_form(capsys):
     # X^(1)(b) = int_a^b dx/(p f^2) for the step-potential fixture:
     # p = -1 and f = cos x / cos(sqrt2 x) give -(tan 1 + tan(sqrt2)/sqrt2)
@@ -185,6 +193,22 @@ def test_count_nonpositive_radius_exit_2():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_count_malformed_radius_exit_2(radius):
+    proc = run_cli_process("count", TRIVIAL, "--radius", radius)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: radius must be positive")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("radius", ["0", "-3", "nan", "inf"])
+def test_landscape_malformed_radius_exit_2(radius):
+    proc = run_cli_process("landscape", TRIVIAL, f"--radius={radius}", "--grid", "16")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: radius must be positive")
+    assert proc.stdout == ""
+
+
 def test_landscape_small_grid_exit_2():
     proc = run_cli_process("landscape", TRIVIAL, "--radius", "3", "--grid", "8")
     assert proc.returncode == 2
@@ -240,14 +264,20 @@ def test_verify_malformed_reference_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_hidden_shoot_command(capsys):
-    code, out, _ = run_cli(
-        capsys, "shoot", TRIVIAL, "--lambda", str(-math.pi**2), "--steps", "2000"
-    )
-    assert code == 0
-    assert out.startswith("mismatch=")
-    value = complex(out.split("mismatch=")[1].split()[0].replace("i", "j"))
-    assert abs(value) <= 1e-9
+def test_solve_nan_threshold_exit_2(capsys):
+    code, out, err = run_cli(capsys, "solve", TRIVIAL, "--threshold", "nan", "--max-eigs", "2")
+    assert code == 2
+    assert err == "error: accept_threshold must be positive\n"
+    assert out == ""
+
+
+def test_help_lists_the_five_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{solve,landscape,count,verify,powers}" in out
+    assert "==SUPPRESS==" not in out
 
 
 def test_version_flag(capsys):

@@ -5,20 +5,15 @@ from spps.errors import ProblemFormatError
 from spps.problems import (
     Problem,
     SolverConfig,
-    fixture_path,
     format_complex,
-    load_problem,
     load_reference,
     match_reference,
     parse_complex,
     parse_problem,
     prepare,
-    problem_to_text,
     sample_problem,
     with_overrides,
 )
-
-FIXTURE_NAMES = ["trivial", "example1", "example2_real", "example2_complex", "example3", "example4"]
 
 MINIMAL = """
 [interval]
@@ -40,13 +35,6 @@ beta = 0
 alpha = 1
 beta = 0
 """
-
-
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_bundled_fixtures_roundtrip(name):
-    problem = load_problem(fixture_path(name + ".prob"))
-    again = parse_problem(problem_to_text(problem))
-    assert again == problem
 
 
 def test_minimal_problem_defaults():

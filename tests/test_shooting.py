@@ -1,16 +1,17 @@
 import cmath
+import importlib.util
 import math
 
 import numpy as np
 import pytest
 
-from spps.errors import OracleConvergenceError
+import spps
 from spps.expressions import parse
 from spps.mesh import Interval, Piece
 from spps.problems import Problem, SolverConfig
-from spps.shooting import refine_root, shoot
 from spps.spectral import BoundaryCondition
 
+from shooting import refine_root, shoot
 from util import TABLE1, step_potential_problem, vanishing_weight_problem
 
 
@@ -33,17 +34,16 @@ def test_harmonic_mismatch_tracks_sine():
     lams = [0.5, 1.3, 2.0, 3.7]
     ratios = []
     for lam in lams:
-        mism = shoot(problem, lam, steps_per_piece=2000).mismatch
+        mism = shoot(problem, lam, steps_per_piece=2000)
         ratios.append(mism * cmath.sqrt(lam) / cmath.sin(cmath.sqrt(lam) * math.pi))
     assert np.allclose(ratios, ratios[0], rtol=1e-8)
 
 
 def test_harmonic_zero_at_one():
     problem = harmonic_problem()
-    result = shoot(problem, 1.0, steps_per_piece=10000)
+    mismatch = shoot(problem, 1.0, steps_per_piece=10000)
     # scale of the mismatch function is O(1); the zero must be resolved
-    assert abs(result.mismatch) <= 1e-10
-    assert result.step_count == 10000
+    assert abs(mismatch) <= 1e-10
 
 
 def test_harmonic_refine_from_nearby_guess():
@@ -55,8 +55,8 @@ def test_harmonic_refine_from_nearby_guess():
 def test_fourth_order_convergence():
     problem = step_potential_problem()
     lam = 5.0
-    reference = shoot(problem, lam, steps_per_piece=12800).mismatch
-    errors = [abs(shoot(problem, lam, steps_per_piece=n).mismatch - reference)
+    reference = shoot(problem, lam, steps_per_piece=12800)
+    errors = [abs(shoot(problem, lam, steps_per_piece=n) - reference)
               for n in (200, 400, 800)]
     assert 12 < errors[0] / errors[1] < 20
     assert 12 < errors[1] / errors[2] < 20
@@ -70,8 +70,8 @@ def test_step_problem_first_positive_eigenvalue():
 
 def test_vanishing_weight_bracket():
     problem = vanishing_weight_problem()
-    lo = shoot(problem, 17.0, steps_per_piece=1000).mismatch.real
-    hi = shoot(problem, 19.0, steps_per_piece=1000).mismatch.real
+    lo = shoot(problem, 17.0, steps_per_piece=1000).real
+    hi = shoot(problem, 19.0, steps_per_piece=1000).real
     assert lo * hi < 0  # sign change brackets the first eigenvalue near 17.9
 
 
@@ -90,5 +90,10 @@ def test_step_floor_enforced():
 
 def test_refine_no_convergence_raises():
     problem = harmonic_problem()
-    with pytest.raises(OracleConvergenceError):
+    with pytest.raises(AssertionError):
         refine_root(problem, 0.5, steps_per_piece=200, max_iter=2)
+
+
+def test_package_ships_no_oracle():
+    assert importlib.util.find_spec("spps.shooting") is None
+    assert not hasattr(spps, "shoot")

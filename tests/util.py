@@ -9,9 +9,18 @@ import math
 
 import numpy as np
 
+from spps.basis import evaluate_solution
 from spps.expressions import parse
-from spps.mesh import Interval, Piece, ProblemSamples, build_mesh, sample_coefficients
+from spps.mesh import (
+    Interval,
+    Piece,
+    ProblemSamples,
+    SampledFunction,
+    build_mesh,
+    sample_coefficients,
+)
 from spps.problems import ParticularPiece, Problem, SolverConfig
+from spps.quadrature import indefinite_integral
 from spps.spectral import BoundaryCondition
 
 
@@ -108,6 +117,27 @@ def unit_samples(m=200, a=0.0, b=1.0):
     mesh = build_mesh(Interval(a, b), [piece], m)
     p, q, r = sample_coefficients([piece], mesh)
     return ProblemSamples(mesh=mesh, p=p, q=q, r=r)
+
+
+def truncation_residual(basis, lam, which="first"):
+    """Integrated-equation residual of the N-term partial sum.
+
+    With u_N and u_{N-1} the partial sums with N and N-1 terms, the exact
+    identity (p u_N')' = mu r u_{N-1} - (q - center r) u_N holds term by
+    term, so the integrated residual vanishes up to quadrature error plus
+    the single dropped term.
+    """
+    n = basis.n_terms
+    u, pu, _ = evaluate_solution(basis, lam, which, n_terms=n)
+    u_prev = evaluate_solution(basis, lam, which, n_terms=n - 1)[0] if n >= 1 else u
+    mu = complex(lam) - basis.center
+    samples = basis.samples
+    integrand = mu * samples.r.values * u_prev - (
+        samples.q.values - basis.center * samples.r.values
+    ) * u
+    acc = indefinite_integral(SampledFunction(samples.mesh, integrand))
+    res = pu - pu[0] - acc.values
+    return float(np.abs(res).max())
 
 
 TABLE1 = np.array([
