@@ -10,32 +10,20 @@ recentring the series (spectral shift).
 """
 
 from .basis import (
-    ParticularSolution,
-    SppsBasis,
     build_basis,
     build_seed_solution,
     evaluate_solution,
     shift_basis,
 )
-from .errors import (
-    InputError,
-    SolverError,
-    SppsError,
-)
+from .errors import InputError, SolverError, SppsError
 from .mesh import (
     Interval,
-    Mesh,
     Piece,
-    ProblemSamples,
     SampledFunction,
     build_mesh,
     sample_coefficients,
 )
-from .powers import (
-    FormalPowerSet,
-    check_bounds,
-    compute_formal_powers,
-)
+from .powers import check_bounds, compute_formal_powers
 from .problems import (
     ParticularPiece,
     Problem,
@@ -45,14 +33,9 @@ from .problems import (
     parse_problem,
     sample_problem,
 )
-from .quadrature import (
-    derive_partial_weights,
-    indefinite_integral,
-    l1_norm,
-)
+from .quadrature import indefinite_integral
 from .spectral import (
     BoundaryCondition,
-    CharacteristicPolynomial,
     EigenvalueRecord,
     assemble_characteristic,
     characteristic_at,
@@ -67,25 +50,17 @@ __all__ = [
     "__version__",
     "Interval",
     "Piece",
-    "Mesh",
     "SampledFunction",
-    "ProblemSamples",
     "build_mesh",
     "sample_coefficients",
-    "derive_partial_weights",
     "indefinite_integral",
-    "l1_norm",
-    "FormalPowerSet",
     "compute_formal_powers",
     "check_bounds",
-    "ParticularSolution",
-    "SppsBasis",
     "build_seed_solution",
     "build_basis",
     "evaluate_solution",
     "shift_basis",
     "BoundaryCondition",
-    "CharacteristicPolynomial",
     "EigenvalueRecord",
     "assemble_characteristic",
     "roots_of",

@@ -120,7 +120,7 @@ def verify_particular(samples, ps):
     return residual
 
 
-def _reconciled(mesh, values, what, tol=1e-9):
+def _reconciled(mesh, values, what):
     """Force two-sided breakpoint samples of a continuous function to agree.
 
     Expression-supplied data can disagree across a breakpoint by roundoff;
@@ -131,7 +131,7 @@ def _reconciled(mesh, values, what, tol=1e-9):
     scale = float(np.abs(values).max()) or 1.0
     for left, right in mesh.breakpoint_slots:
         gap = abs(out[left] - out[right])
-        if gap > tol * scale:
+        if gap > 1e-9 * scale:
             raise ParticularResidualError(
                 f"{what} jumps by {gap:.3e} at breakpoint x={mesh.xs[left]}; "
                 "a particular solution and its quasi-derivative must be continuous"
@@ -224,16 +224,14 @@ def _horner_rows(rows, mu, count):
     return acc
 
 
-def evaluate_solution(basis, lam, which="first", n_terms=None):
+def evaluate_solution(basis, lam, which="first"):
     """Samples of u and p*u' of one basis solution at lambda, and its tail.
 
     Returns ``(u, pu, tail)``: two complex arrays on the expanded grid and
     a float.  Any complex lambda is accepted; accuracy degrades away from
     the center and is reported through ``tail`` (see ``_tail_indicator``).
     """
-    n = basis.n_terms if n_terms is None else n_terms
-    if not 0 <= n <= basis.n_terms:
-        raise ValueError(f"n_terms must be in 0..{basis.n_terms}")
+    n = basis.n_terms
     mu = complex(lam) - basis.center
     fp = basis.powers
     fv = basis.particular.f.values
@@ -291,17 +289,17 @@ def _evaluate_both(basis, new_center):
     return u1, pu1, u2, pu2, max(tail1, tail2)
 
 
-def shift_basis(basis, new_center, combination=None, n_terms=None):
+def shift_basis(basis, new_center, n_terms=None):
     """Recentre the basis at ``new_center``, rebuilt with ``n_terms`` powers.
 
     Evaluates both solutions there, picks the combination c1*u1 + c2*u2
-    maximising min|f*|/max|f*| (or uses ``combination`` verbatim), and
-    rebuilds the powers on it; ``build_basis`` verifies the recentred
-    particular solution.  ``n_terms`` defaults to the basis's own order.  A
-    shorter basis whose tail at ``new_center`` exceeds EXACT_TAIL is first
-    rebuilt at ``n_terms`` on its particular solution, so the evaluation is
-    the one a basis of full order gives.  The returned basis carries the
-    series tail at ``new_center`` as ``shift_tail``.
+    maximising min|f*|/max|f*|, and rebuilds the powers on it;
+    ``build_basis`` verifies the recentred particular solution.  ``n_terms``
+    defaults to the basis's own order.  A shorter basis whose tail at
+    ``new_center`` exceeds EXACT_TAIL is first rebuilt at ``n_terms`` on its
+    particular solution, so the evaluation is the one a basis of full order
+    gives.  The returned basis carries the series tail at ``new_center`` as
+    ``shift_tail``.
     """
     new_center = complex(new_center)
     n_terms = basis.n_terms if n_terms is None else n_terms
@@ -316,12 +314,9 @@ def shift_basis(basis, new_center, combination=None, n_terms=None):
             "or more series terms"
         )
 
-    candidates = [tuple(map(complex, combination))] if combination is not None else list(
-        _SHIFT_COMBINATIONS
-    )
     best = None
     best_ratio = -1.0
-    for c1, c2 in candidates:
+    for c1, c2 in _SHIFT_COMBINATIONS:
         fv = c1 * u1 + c2 * u2
         max_abs = float(np.abs(fv).max())
         if max_abs == 0.0:

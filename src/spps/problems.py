@@ -43,6 +43,7 @@ Bundled fixtures for the reference problems live under
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -87,6 +88,10 @@ class SolverConfig:
             raise ProblemFormatError(f"unknown policy {self.policy!r}; pick one of {POLICIES}")
         if self.n_terms < 0:
             raise ProblemFormatError("n_powers must be nonnegative")
+        if self.max_eigenvalues < 1:
+            raise ProblemFormatError("max_eigenvalues must be at least 1")
+        if not cmath.isfinite(self.delta):
+            raise ProblemFormatError(f"delta must be finite, got {self.delta}")
         if not self.accept_threshold > 0:  # also catches NaN
             raise ProblemFormatError("accept_threshold must be positive")
 
@@ -150,6 +155,13 @@ def _parse_real(text, what):
     if z.imag != 0.0:
         raise ProblemFormatError(f"{what} must be real, got {text!r}")
     return z.real
+
+
+def _parse_count(text, what):
+    value = _parse_real(text, what)
+    if not value.is_integer():  # also false for inf and NaN
+        raise ProblemFormatError(f"{what} must be a whole number, got {text!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +284,14 @@ def parse_problem(text):
                 set(),
                 optional={"n_powers", "mesh", "delta", "policy", "max_eigenvalues", "accept_threshold"},
             )
-            if "n_powers" in data:
-                solver_kwargs["n_terms"] = int(_parse_real(data["n_powers"], "n_powers"))
-            if "mesh" in data:
-                solver_kwargs["mesh_m"] = int(_parse_real(data["mesh"], "mesh"))
+            for key, kwarg in (("n_powers", "n_terms"), ("mesh", "mesh_m"),
+                               ("max_eigenvalues", "max_eigenvalues")):
+                if key in data:
+                    solver_kwargs[kwarg] = _parse_count(data[key], key)
             if "delta" in data:
                 solver_kwargs["delta"] = parse_complex(data["delta"])
             if "policy" in data:
                 solver_kwargs["policy"] = data["policy"]
-            if "max_eigenvalues" in data:
-                solver_kwargs["max_eigenvalues"] = int(
-                    _parse_real(data["max_eigenvalues"], "max_eigenvalues")
-                )
             if "accept_threshold" in data:
                 solver_kwargs["accept_threshold"] = float(
                     _parse_real(data["accept_threshold"], "accept_threshold")

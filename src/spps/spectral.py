@@ -276,10 +276,12 @@ def count_zeros(phi_evaluator, center, radius, samples=512):
 
     Sums principal-branch phase increments between consecutive samples;
     any increment near +-pi is ambiguous and triggers doubling of the
-    sample count (up to 2^18).
+    sample count (up to MAX_CONTOUR_SAMPLES).
     """
     if not 0.0 < radius < math.inf:  # also catches NaN
         raise InputError(f"radius must be positive and finite, got {radius}")
+    if samples > MAX_CONTOUR_SAMPLES:
+        raise InputError(f"samples must be at most {MAX_CONTOUR_SAMPLES}, got {samples}")
     n = max(int(samples), 256)
     while True:
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
@@ -351,9 +353,6 @@ def sweep_eigenvalues(problem, config=None, particular=None):
     from .problems import prepare  # local import keeps module layers acyclic
 
     config, samples, bc_left, bc_right, start = prepare(problem, config, particular)
-    if config.max_eigenvalues <= 0:
-        return []
-
     n_full = config.n_terms
     basis = build_basis(start, samples, n_full)
 
@@ -491,7 +490,7 @@ def _refine_in_frame(vphi, cand):
     return cand
 
 
-def characteristic_at(problem, center=0.0, config=None, particular=None):
+def characteristic_at(problem, center=0.0):
     """The characteristic polynomial of ``problem`` expanded at ``center``.
 
     Builds the basis at the starting center (that of the supplied or seeded
@@ -500,7 +499,7 @@ def characteristic_at(problem, center=0.0, config=None, particular=None):
     """
     from .problems import prepare  # local import keeps module layers acyclic
 
-    config, samples, bc_left, bc_right, start = prepare(problem, config, particular)
+    config, samples, bc_left, bc_right, start = prepare(problem)
     basis = build_basis(start, samples, config.n_terms)
     center = complex(center)
     if center != basis.center:

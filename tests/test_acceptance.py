@@ -15,7 +15,6 @@ from spps.basis import (
     ParticularSolution,
     build_basis,
     evaluate_solution,
-    shift_basis,
 )
 from spps.mesh import SampledFunction
 from spps.powers import check_bounds
@@ -36,6 +35,7 @@ from util import (
     TABLE3,
     TABLE4,
     TABLE5,
+    identity_shift,
     layered_dirichlet_mismatch,
     newton_root,
     step_potential_problem,
@@ -251,7 +251,7 @@ def test_criterion_7_property_suite(bundled_problem):
             worst_wronskian = max(worst_wronskian, float(np.abs(w - 1.0).max()))
 
         # identity shift reproduces the powers
-        shifted = shift_basis(basis, basis.center, combination=(1.0, 0.0))
+        shifted = identity_shift(basis)
         scale_t = float(np.abs(basis.powers.tilde).max())
         dev = float(np.abs(shifted.powers.tilde - basis.powers.tilde).max()) / scale_t
         worst_identity = max(worst_identity, dev)

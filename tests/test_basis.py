@@ -22,6 +22,7 @@ from spps.problems import prepare
 
 from util import (
     TABLE1,
+    identity_shift,
     plain_problem,
     step_potential_problem,
     truncation_residual,
@@ -153,7 +154,7 @@ def test_solution_continuity_across_breakpoints(step_setup):
 
 def test_identity_shift_reproduces_powers(step_setup):
     _, _, _, _, basis = step_setup
-    shifted = shift_basis(basis, basis.center, combination=(1.0, 0.0))
+    shifted = identity_shift(basis)
     assert shifted.center == basis.center
     scale_t = np.abs(basis.powers.tilde).max()
     scale_p = np.abs(basis.powers.plain).max()

@@ -81,12 +81,35 @@ def test_solve_writes_out_file(capsys, tmp_path):
     assert out_file.read_text() == out
 
 
-def test_solve_zero_budget_empty_table(capsys):
-    code, out, _ = run_cli(capsys, "solve", TRIVIAL, "--max-eigs", "0")
-    assert code == 0
-    rows = parse_table(out)
-    assert rows == []
-    assert "mesh_effective" in out
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_solve_nonpositive_budget_exit_2(capsys, budget):
+    code, out, err = run_cli(capsys, "solve", TRIVIAL, "--max-eigs", budget)
+    assert code == 2
+    assert err == "error: max_eigenvalues must be at least 1\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["n_powers = 1e400", "mesh = 1e400", "max_eigenvalues = 1e400", "n_powers = 2.5",
+     "delta = 1e400"],
+)
+def test_solve_malformed_solver_value_exit_2(capsys, tmp_path, line):
+    key = line.split(" = ")[0]
+    text = TRIVIAL.read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad.prob"
+    bad.write_text("\n".join(line if ln.startswith(key + " ") else ln for ln in text) + "\n")
+    code, out, err = run_cli(capsys, "solve", bad)
+    assert code == 2
+    assert err.startswith(f"error: {key} must be ")
+    assert out == ""
+
+
+def test_solve_infinite_delta_flag_exit_2(capsys):
+    code, out, err = run_cli(capsys, "solve", TRIVIAL, "--delta", "1e400")
+    assert code == 2
+    assert err.startswith("error: delta must be finite")
+    assert out == ""
 
 
 def test_solve_schema_error_exit_2(capsys, tmp_path):
@@ -191,6 +214,13 @@ def test_count_nonpositive_radius_exit_2():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: radius must be positive")
     assert "Traceback" not in proc.stderr
+
+
+def test_count_too_many_samples_exit_2():
+    proc = run_cli_process("count", TRIVIAL, "--radius", "1", "--samples", "100000000000000000000")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: samples must be at most 262144, got 100000000000000000000\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf"])

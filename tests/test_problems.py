@@ -143,6 +143,13 @@ def test_solver_overrides():
     assert problem.solver.n_terms == SolverConfig().n_terms  # original untouched
 
 
+def test_solver_counts_accept_exponent_notation():
+    problem = parse_problem(MINIMAL + "[solver]\nn_powers = 3e1\nmesh = 1e3\nmax_eigenvalues = 2e0\n")
+    counts = (problem.solver.n_terms, problem.solver.mesh_m, problem.solver.max_eigenvalues)
+    assert counts == (30, 1000, 2)
+    assert all(type(n) is int for n in counts)
+
+
 def test_parse_complex_tokens():
     assert parse_complex("1e-8") == 1e-8
     assert parse_complex("-11-1i") == -11 - 1j

@@ -12,6 +12,7 @@ from spps.errors import (
     ContourError,
     DegeneratePolynomialError,
     InputError,
+    ProblemFormatError,
     SweepStalledError,
 )
 from spps.problems import SolverConfig, prepare, with_overrides
@@ -365,9 +366,10 @@ def test_sweep_under_each_policy(bundled_problem, policy, delta):
         assert centers[k] == expect
 
 
-def test_sweep_zero_budget_returns_empty():
-    problem = with_overrides(plain_problem(), max_eigenvalues=0)
-    assert sweep_eigenvalues(problem) == []
+@pytest.mark.parametrize("budget", [0, -1])
+def test_sweep_nonpositive_budget_rejected(budget):
+    with pytest.raises(ProblemFormatError, match="max_eigenvalues must be at least 1"):
+        with_overrides(plain_problem(), max_eigenvalues=budget)
 
 
 def test_sweep_plain_problem_sorted_and_deduped():

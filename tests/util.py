@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from spps.basis import evaluate_solution
+from spps.basis import ParticularSolution, build_basis, evaluate_solution
 from spps.expressions import parse
 from spps.mesh import (
     Interval,
@@ -119,18 +119,37 @@ def unit_samples(m=200, a=0.0, b=1.0):
     return ProblemSamples(mesh=mesh, p=p, q=q, r=r)
 
 
+def identity_shift(basis):
+    """The basis rebuilt at its own center on its first solution, (c1, c2) = (1, 0).
+
+    At the center u1 = f and p u1' = p f', so the rebuilt powers should
+    reproduce the original ones up to roundoff.
+    """
+    u1, pu1, _ = evaluate_solution(basis, basis.center, "first")
+    mesh = basis.samples.mesh
+    ps = ParticularSolution(
+        f=SampledFunction(mesh, u1),
+        pf_prime=SampledFunction(mesh, pu1),
+        lambda_star=basis.center,
+    )
+    return build_basis(ps, basis.samples, basis.n_terms)
+
+
 def truncation_residual(basis, lam, which="first"):
     """Integrated-equation residual of the N-term partial sum.
 
     With u_N and u_{N-1} the partial sums with N and N-1 terms, the exact
     identity (p u_N')' = mu r u_{N-1} - (q - center r) u_N holds term by
     term, so the integrated residual vanishes up to quadrature error plus
-    the single dropped term.
+    the single dropped term.  u_{N-1} is u_N less its last term,
+    f mu^N T(2N) for the first solution and f mu^N P(2N+1) for the second.
     """
     n = basis.n_terms
-    u, pu, _ = evaluate_solution(basis, lam, which, n_terms=n)
-    u_prev = evaluate_solution(basis, lam, which, n_terms=n - 1)[0] if n >= 1 else u
+    u, pu, _ = evaluate_solution(basis, lam, which)
     mu = complex(lam) - basis.center
+    fp = basis.powers
+    last = fp.tilde[2 * n] if which == "first" else fp.plain[2 * n + 1]
+    u_prev = u - basis.particular.f.values * mu**n * last
     samples = basis.samples
     integrand = mu * samples.r.values * u_prev - (
         samples.q.values - basis.center * samples.r.values
