@@ -7,9 +7,9 @@ Commands
     verify     compare solve output against a reference table
     powers     print formal power values at a point (debug surface)
 
-Exit codes: 0 success, 2 malformed input, 3 solver failure.  All tabular
-output is comma-separated UTF-8 with metadata on leading ``#`` lines and
-numbers printed to 16 significant digits.
+Exit codes: 0 success, 2 malformed input, 3 solver failure (running out of
+memory included).  All tabular output is comma-separated UTF-8 with
+metadata on leading ``#`` lines and numbers printed to 16 significant digits.
 """
 
 from __future__ import annotations
@@ -53,32 +53,36 @@ def _add_common_overrides(parser):
     parser.add_argument("problem", help="problem definition file")
     parser.add_argument("--n-powers", type=int, default=None, help="series truncation N")
     parser.add_argument("--mesh", type=int, default=None, help="requested subinterval count M")
+
+
+def _add_sweep_overrides(parser):
+    # --delta stays a string here: parse_complex runs inside main's error mapping
     parser.add_argument("--delta", default=None, help="center displacement per step (complex)")
-    parser.add_argument(
-        "--policy",
-        default=None,
-        choices=POLICIES,
-        help="shift schedule policy",
-    )
+    parser.add_argument("--policy", default=None, choices=POLICIES, help="shift schedule policy")
     parser.add_argument("--max-eigs", type=int, default=None, help="stop after this many eigenvalues")
     parser.add_argument("--threshold", type=float, default=None, help="validation residual threshold")
 
 
+# flag destination -> SolverConfig field
+_OVERRIDES = {
+    "n_powers": "n_terms",
+    "mesh": "mesh_m",
+    "delta": "delta",
+    "policy": "policy",
+    "max_eigs": "max_eigenvalues",
+    "threshold": "accept_threshold",
+}
+
+
 def _load_with_overrides(args):
     problem = load_problem(args.problem)
-    overrides = {}
-    if args.n_powers is not None:
-        overrides["n_terms"] = args.n_powers
-    if args.mesh is not None:
-        overrides["mesh_m"] = args.mesh
-    if args.delta is not None:
-        overrides["delta"] = parse_complex(args.delta)
-    if args.policy is not None:
-        overrides["policy"] = args.policy
-    if args.max_eigs is not None:
-        overrides["max_eigenvalues"] = args.max_eigs
-    if args.threshold is not None:
-        overrides["accept_threshold"] = args.threshold
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in _OVERRIDES.items()
+        if getattr(args, flag, None) is not None
+    }
+    if "delta" in overrides:
+        overrides["delta"] = parse_complex(overrides["delta"])
     return with_overrides(problem, **overrides) if overrides else problem
 
 
@@ -163,11 +167,11 @@ def cmd_verify(args):
 
 def cmd_powers(args):
     problem = _load_with_overrides(args)
+    n_max = 2 * problem.solver.n_terms + 1
+    if not 0 <= args.n <= n_max:
+        raise InputError(f"power index must be in 0..{n_max}")
     config, samples, _, _, particular = prepare(problem, None, None)
-    basis = build_basis(particular, samples, config.n_terms)
-    fp = basis.powers
-    if not 0 <= args.n <= fp.n_max:
-        raise InputError(f"power index must be in 0..{fp.n_max}")
+    fp = build_basis(particular, samples, config.n_terms).powers
     slot = samples.mesh.slot_of(args.at)
     x = samples.mesh.xs[slot]
     sys.stdout.write(
@@ -187,6 +191,7 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="compute eigenvalues and print a table")
     _add_common_overrides(p_solve)
+    _add_sweep_overrides(p_solve)
     p_solve.add_argument("--out", default=None, help="also write the table to this file")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -207,6 +212,7 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="check solve output against a reference table")
     _add_common_overrides(p_verify)
+    _add_sweep_overrides(p_verify)
     p_verify.add_argument("reference", help="reference file with rows 'n,value,tolerance'")
     p_verify.add_argument("--out", default=None, help="also write the report to this file")
     p_verify.set_defaults(func=cmd_verify)
@@ -228,7 +234,7 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SolverError as exc:
+    except (SolverError, MemoryError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -17,6 +17,7 @@ linear potential can be written down in a problem file.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ __all__ = [
     "is_constant",
     "to_string",
 ]
+
+
+# binding strength, shared by the parser and the printer
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
 class Expression:
@@ -114,82 +119,40 @@ _FUNCTIONS = {
 
 # ---------------------------------------------------------------------------
 # Tokenizer
+#
+# ``\d`` matches exactly the decimal digits that ``float`` reads; other
+# numeric characters such as ``²`` fall to ``ident`` and fail as unknown.
 
-
-class _Token:
-    __slots__ = ("kind", "text", "pos", "value")
-
-    def __init__(self, kind, text, pos, value=None):
-        self.kind = kind  # num | ident | op | lparen | rparen | end
-        self.text = text
-        self.pos = pos
-        self.value = value
+_TOKEN = re.compile(
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<op>[-+*/^])"
+    r"|(?P<lparen>\()"
+    r"|(?P<rparen>\))"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)"
+)
 
 
 def _tokenize(text):
+    """(kind, text, offset) tuples, closed by an ``end`` token."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            literal = float(text[i:j])
-            if j < n and text[j] == "i":
-                tokens.append(_Token("num", text[i : j + 1], i, literal * 1j))
-                i = j + 1
-            else:
-                tokens.append(_Token("num", text[i:j], i, complex(literal)))
-                i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+    for match in _TOKEN.finditer(text):
+        kind, tok, pos = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {tok!r}", pos)
+        if kind != "space":
+            tokens.append((kind, tok, pos))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Recursive descent parser
+# Precedence-climbing parser over _PREC
 #
-#   expr  := term (('+'|'-') term)*
-#   term  := unary (('*'|'/') unary)*
-#   unary := '-' unary | power
-#   power := atom ('^' unary)?          -- right associative
+#   expr  := unary (BINOP unary)*           -- + - * /, left associative;
+#                                           -- a higher _PREC binds tighter
+#   unary := '-' unary | atom ('^' unary)?  -- '^' right associative
 #   atom  := NUMBER | 'i' | 'x' | IDENT '(' expr ')' | '(' expr ')'
 
 
@@ -206,70 +169,59 @@ class _Parser:
         self.k += 1
         return tok
 
-    def expect(self, kind, text=None):
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ExpressionSyntaxError(f"expected {want!r}, found {tok.text!r}", tok.pos)
+    def expect(self, kind):
+        tok_kind, text, pos = self.peek()
+        if tok_kind != kind:
+            raise ExpressionSyntaxError(f"expected {kind!r}, found {text!r}", pos)
         return self.advance()
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Bin(op, node, self.parse_term())
-        return node
-
-    def parse_term(self):
+    def parse_expr(self, min_prec=_PREC["+"]):
         node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Bin(op, node, self.parse_unary())
+        # a unary never stops in front of '^', so only + - * / reach this loop
+        while self.peek()[0] == "op" and _PREC[self.peek()[1]] >= min_prec:
+            op = self.advance()[1]
+            node = Bin(op, node, self.parse_expr(_PREC[op] + 1))
         return node
 
     def parse_unary(self):
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.peek()[1] == "-":
             self.advance()
             return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self):
         base = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            tok = self.advance()
-            exponent = self.parse_unary()
-            try:
-                value = const_value(exponent)
-            except EvaluationError:
-                raise ExpressionSyntaxError("exponent must be a constant", tok.pos) from None
-            if value.imag != 0.0:
-                raise ExpressionSyntaxError("exponent must be real", tok.pos)
-            return Pow(base, float(value.real))
-        return base
+        if self.peek()[1] != "^":
+            return base
+        pos = self.advance()[2]
+        exponent = self.parse_unary()
+        try:
+            value = const_value(exponent)
+        except EvaluationError:
+            raise ExpressionSyntaxError("exponent must be a constant", pos) from None
+        if value.imag != 0.0:
+            raise ExpressionSyntaxError("exponent must be real", pos)
+        return Pow(base, float(value.real))
 
     def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(tok.value)
-        if tok.kind == "lparen":
-            self.advance()
+        kind, text, pos = self.advance()
+        if kind == "num":
+            if text.endswith("i"):
+                return Num(float(text[:-1]) * 1j)
+            return Num(complex(float(text)))
+        if kind == "lparen":
             node = self.parse_expr()
             self.expect("rparen")
             return node
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "x":
+        if kind == "ident":
+            if text == "x":
                 return Var()
-            if tok.text == "i":
+            if text == "i":
                 return Num(1j)
-            if tok.text in _FUNCTIONS:
+            if text in _FUNCTIONS:
                 self.expect("lparen")
                 arg = self.parse_expr()
                 self.expect("rparen")
-                return Call(tok.text, arg)
-            raise UnknownIdentifierError(tok.text, tok.pos)
-        raise ExpressionSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+                return Call(text, arg)
+            raise UnknownIdentifierError(text, pos)
+        raise ExpressionSyntaxError(f"unexpected token {text!r}", pos)
 
 
 def parse(text):
@@ -278,9 +230,9 @@ def parse(text):
         raise ExpressionSyntaxError("empty expression", 0)
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
-    end = parser.peek()
-    if end.kind != "end":
-        raise ExpressionSyntaxError(f"trailing input {end.text!r}", end.pos)
+    kind, rest, pos = parser.peek()
+    if kind != "end":
+        raise ExpressionSyntaxError(f"trailing input {rest!r}", pos)
     return node
 
 
@@ -354,19 +306,11 @@ def _first_offender(xv, bad):
 
 def is_constant(expr):
     """True when the tree does not reference the variable ``x``."""
-    if isinstance(expr, Var):
-        return False
-    if isinstance(expr, (Num,)):
-        return True
-    if isinstance(expr, Neg):
-        return is_constant(expr.operand)
-    if isinstance(expr, Bin):
-        return is_constant(expr.left) and is_constant(expr.right)
-    if isinstance(expr, Pow):
-        return is_constant(expr.base)
-    if isinstance(expr, Call):
-        return is_constant(expr.arg)
-    raise TypeError(f"not an expression node: {expr!r}")
+    if not isinstance(expr, Expression):
+        raise TypeError(f"not an expression node: {expr!r}")
+    return not isinstance(expr, Var) and all(
+        is_constant(child) for child in vars(expr).values() if isinstance(child, Expression)
+    )
 
 
 def const_value(expr):
@@ -378,8 +322,6 @@ def const_value(expr):
 
 # ---------------------------------------------------------------------------
 # Pretty printing (round-trips through parse)
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
 def to_string(expr):

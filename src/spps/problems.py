@@ -52,7 +52,7 @@ import numpy as np
 
 from . import expressions
 from .basis import build_seed_solution, particular_from_samples
-from .errors import ExpressionError, ProblemFormatError
+from .errors import ExpressionError, MeshError, ProblemFormatError
 from .mesh import Interval, Piece, ProblemSamples, build_mesh, sample_coefficients, sample_piecewise
 from .spectral import POLICIES, BoundaryCondition
 
@@ -72,6 +72,10 @@ __all__ = [
     "parse_complex",
     "format_complex",
 ]
+
+
+# the most complex128 samples one numpy array can hold: its byte size is an np.intp
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,13 @@ class SolverConfig:
             raise ProblemFormatError(f"delta must be finite, got {self.delta}")
         if not self.accept_threshold > 0:  # also catches NaN
             raise ProblemFormatError("accept_threshold must be positive")
+        # the power set: two families of 2N+2 rows over at least M+1 nodes
+        samples = 2 * (2 * self.n_terms + 2) * (self.mesh_m + 1)
+        if samples > _MAX_SAMPLES:
+            raise ProblemFormatError(
+                f"n_powers = {self.n_terms} and mesh = {self.mesh_m} need {samples} "
+                f"power samples; numpy can index at most {_MAX_SAMPLES}"
+            )
 
 
 @dataclass(frozen=True)
@@ -188,13 +199,20 @@ def _split_sections(text):
     return sections
 
 
-def _as_dict(name, items):
-    out = {}
+def _section(where, items, required, optional=()):
+    """The ``key = value`` lines of ``[where]`` as a dict, keys checked."""
+    data = {}
     for lineno, key, value in items:
-        if key in out:
-            raise ProblemFormatError(f"line {lineno}: duplicate key {key!r} in [{name}]")
-        out[key] = value
-    return out
+        if key in data:
+            raise ProblemFormatError(f"line {lineno}: duplicate key {key!r} in [{where}]")
+        data[key] = value
+    missing = set(required) - data.keys()
+    if missing:
+        raise ProblemFormatError(f"[{where}] missing key(s): {', '.join(sorted(missing))}")
+    unknown = data.keys() - set(required) - set(optional)
+    if unknown:
+        raise ProblemFormatError(f"[{where}] unknown key(s): {', '.join(sorted(unknown))}")
+    return data
 
 
 def _quoted_expression(value, where):
@@ -214,6 +232,18 @@ def _coeff_list(value, where):
         raise ProblemFormatError(f"{where}: {exc}") from exc
 
 
+# [solver] key -> (SolverConfig field, reader); read in this order
+_SOLVER_KEYS = {
+    "n_powers": ("n_terms", _parse_count),
+    "mesh": ("mesh_m", _parse_count),
+    "max_eigenvalues": ("max_eigenvalues", _parse_count),
+    "delta": ("delta", lambda text, key: parse_complex(text)),
+    "policy": ("policy", lambda text, key: text),
+    "accept_threshold": ("accept_threshold", _parse_real),
+}
+_PIECE_EXPRESSIONS = ("p", "q", "r", "f", "f_prime", "pf_prime")
+
+
 def parse_problem(text):
     """Parse problem-file text into a :class:`Problem`."""
     sections = _split_sections(text)
@@ -230,43 +260,26 @@ def parse_problem(text):
 
     for name, items in sections:
         if name == "interval":
-            data = _as_dict(name, items)
-            _require_keys(name, data, {"a", "b"})
+            data = _section(name, items, ("a", "b"))
             interval = Interval(_parse_real(data["a"], "a"), _parse_real(data["b"], "b"))
         elif name == "piece":
-            data = _as_dict(f"piece {len(pieces)}", items)
-            _require_keys("piece", data, {"from", "to", "p", "q", "r"}, optional={"f", "f_prime", "pf_prime"})
             where = f"piece {len(pieces)}"
-            pieces.append(
-                Piece(
-                    lo=_parse_real(data["from"], "from"),
-                    hi=_parse_real(data["to"], "to"),
-                    p=_quoted_expression(data["p"], f"{where} p"),
-                    q=_quoted_expression(data["q"], f"{where} q"),
-                    r=_quoted_expression(data["r"], f"{where} r"),
-                )
-            )
-            if "f" in data:
-                particulars.append(
-                    ParticularPiece(
-                        f=_quoted_expression(data["f"], f"{where} f"),
-                        f_prime=_quoted_expression(data["f_prime"], f"{where} f_prime")
-                        if "f_prime" in data
-                        else None,
-                        pf_prime=_quoted_expression(data["pf_prime"], f"{where} pf_prime")
-                        if "pf_prime" in data
-                        else None,
-                    )
-                )
-            elif "f_prime" in data or "pf_prime" in data:
+            data = _section(where, items, ("from", "to", "p", "q", "r"), _PIECE_EXPRESSIONS[3:])
+            lo, hi = _parse_real(data["from"], "from"), _parse_real(data["to"], "to")
+            exprs = {
+                key: _quoted_expression(data[key], f"{where} {key}")
+                for key in _PIECE_EXPRESSIONS
+                if key in data
+            }
+            pieces.append(Piece(lo, hi, *(exprs.pop(key) for key in "pqr")))
+            # what is left is the particular solution: f and one derivative
+            if exprs and "f" not in exprs:
                 raise ProblemFormatError(f"{where}: f_prime/pf_prime without f")
-            else:
-                particulars.append(None)
+            particulars.append(ParticularPiece(**exprs) if exprs else None)
         elif name in ("bc_left", "bc_right"):
             if name in bcs:
                 raise ProblemFormatError(f"duplicate [{name}] section")
-            data = _as_dict(name, items)
-            _require_keys(name, data, {"alpha", "beta"}, optional={"derivative"})
+            data = _section(name, items, ("alpha", "beta"), ("derivative",))
             try:
                 bcs[name] = BoundaryCondition(
                     endpoint=name.removeprefix("bc_"),
@@ -277,25 +290,10 @@ def parse_problem(text):
             except ValueError as exc:
                 raise ProblemFormatError(f"[{name}]: {exc}") from exc
         elif name == "solver":
-            data = _as_dict(name, items)
-            _require_keys(
-                name,
-                data,
-                set(),
-                optional={"n_powers", "mesh", "delta", "policy", "max_eigenvalues", "accept_threshold"},
-            )
-            for key, kwarg in (("n_powers", "n_terms"), ("mesh", "mesh_m"),
-                               ("max_eigenvalues", "max_eigenvalues")):
+            data = _section(name, items, (), _SOLVER_KEYS)
+            for key, (field, read) in _SOLVER_KEYS.items():
                 if key in data:
-                    solver_kwargs[kwarg] = _parse_count(data[key], key)
-            if "delta" in data:
-                solver_kwargs["delta"] = parse_complex(data["delta"])
-            if "policy" in data:
-                solver_kwargs["policy"] = data["policy"]
-            if "accept_threshold" in data:
-                solver_kwargs["accept_threshold"] = float(
-                    _parse_real(data["accept_threshold"], "accept_threshold")
-                )
+                    solver_kwargs[field] = read(data[key], key)
         else:
             raise ProblemFormatError(f"unknown section [{name}]")
 
@@ -314,15 +312,6 @@ def parse_problem(text):
         )
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from exc
-
-
-def _require_keys(section, data, required, optional=frozenset()):
-    missing = required - data.keys()
-    if missing:
-        raise ProblemFormatError(f"[{section}] missing key(s): {', '.join(sorted(missing))}")
-    unknown = data.keys() - required - set(optional)
-    if unknown:
-        raise ProblemFormatError(f"[{section}] unknown key(s): {', '.join(sorted(unknown))}")
 
 
 def load_problem(path):
@@ -363,13 +352,22 @@ def prepare(problem, config=None, particular=None):
     """Resolve config, sample coefficients, and obtain a starting solution.
 
     ``particular`` overrides both the problem file's expressions and the
-    seed construction (used by tests exercising scaling invariance).
+    seed construction (used by tests exercising scaling invariance); it
+    must be sampled on the mesh that ``config.mesh_m`` gives.
     """
     config = problem.solver if config is None else config
     samples = sample_problem(problem, config.mesh_m)
     start = particular
     if start is None:
         start = particular_for(problem, samples)
+    elif (start.f.mesh.piece_bounds, start.f.mesh.piece_nsub) != (
+        samples.mesh.piece_bounds,
+        samples.mesh.piece_nsub,
+    ):
+        raise MeshError(
+            f"particular solution is sampled on another mesh (M = "
+            f"{start.f.mesh.n_subintervals}) than the problem (M = {samples.mesh.n_subintervals})"
+        )
     if start is None:
         start = build_seed_solution(samples, config.n_terms)
     return config, samples, problem.bc_left, problem.bc_right, start

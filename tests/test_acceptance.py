@@ -6,7 +6,9 @@ their production mesh sizes.
 """
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +303,22 @@ def test_criterion_8_oracle_cross_validation(bundled_problem, sweep_cache):
             worst = max(worst, gap)
             assert gap <= 1e-7, f"{name} n={rec.index}: spps {rec.lam} vs oracle {oracle}"
     _report("8 (shooting-oracle agreement)", True, f"worst relative gap {worst:.2e} (gate 1e-7)")
+
+
+# drift gate: the float.hex of every eigenvalue the six bundled fixtures
+# give.  A change may move one by at most 1e-12 relative (absolute below
+# |lambda| = 1); one that needs more regenerates the table and states the
+# drift and its cause in CHANGES.md.
+DRIFT_TABLE = json.loads((Path(__file__).parent / "data" / "eigenvalues.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(DRIFT_TABLE))
+def test_drift_gate_eigenvalues(sweep_cache, name):
+    records, _ = sweep_cache(name)
+    expected = [complex(float.fromhex(re), float.fromhex(im)) for re, im in DRIFT_TABLE[name]]
+    got = [rec.lam for rec in records]
+    assert len(got) == len(expected)
+    drift = max(abs(lam - ref) / max(1.0, abs(ref)) for lam, ref in zip(got, expected))
+    _report(f"drift gate ({name})", drift <= 1e-12, f"max relative drift {drift:.2e}")
+    for k, (lam, ref) in enumerate(zip(got, expected)):
+        assert abs(lam - ref) <= 1e-12 * max(1.0, abs(ref)), (k, lam, ref)

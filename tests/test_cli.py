@@ -112,6 +112,51 @@ def test_solve_infinite_delta_flag_exit_2(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag", ["--n-powers", "--mesh"])
+def test_solve_power_set_numpy_cannot_index_exit_2(capsys, flag):
+    code, out, err = run_cli(capsys, "solve", TRIVIAL, flag, "100000000000000000000")
+    assert code == 2
+    assert err.startswith("error: n_powers = ")
+    assert "numpy can index at most" in err
+    assert out == ""
+
+
+def test_out_of_memory_is_a_solver_error(capsys, monkeypatch):
+    import spps.cli
+
+    def exhausted(problem):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(spps.cli, "sweep_eigenvalues", exhausted)
+    code, out, err = run_cli(capsys, "solve", TRIVIAL)
+    assert code == 3
+    assert err == "solver error: Unable to allocate 1.00 TiB\n"
+    assert out == ""
+
+
+def test_solve_superscript_digit_exit_2(tmp_path):
+    bad = tmp_path / "bad.prob"
+    bad.write_text(TRIVIAL.read_text(encoding="utf-8").replace('q = "0"', 'q = "2²"'), encoding="utf-8")
+    assert 'q = "2²"' in bad.read_text(encoding="utf-8")
+    proc = run_cli_process("solve", bad)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: piece 0 q: trailing input '²'")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flag", ["--delta=7", "--policy=fixed_center", "--max-eigs=3", "--threshold=1e-6"])
+@pytest.mark.parametrize(
+    "command",
+    [["count", "--radius", "5"], ["landscape", "--radius", "5"], ["powers", "--n", "0", "--at", "0"]],
+    ids=["count", "landscape", "powers"],
+)
+def test_sweep_flags_only_on_sweeps(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], str(TRIVIAL), *command[1:], flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_solve_schema_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.prob"
     bad.write_text("[interval]\na = 0\n")  # missing everything else
@@ -143,9 +188,21 @@ def test_powers_command(capsys):
     assert "tilde_3=0 " in out
 
 
-def test_powers_bad_index(capsys):
+def test_powers_bad_index(capsys, monkeypatch):
+    import spps.basis
+
+    calls = []
+    original = spps.basis.compute_formal_powers
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spps.basis, "compute_formal_powers", counting)
     code, _, err = run_cli(capsys, "powers", TRIVIAL, "--n", "999", "--at", "0.0")
     assert code == 2
+    assert err == "error: power index must be in 0..51\n"
+    assert calls == []  # the index is checked before anything is built
 
 
 @pytest.mark.parametrize("at", ["inf", "nan"])

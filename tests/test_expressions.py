@@ -121,6 +121,15 @@ def test_unknown_identifier():
         parse("sec(x)")
 
 
+def test_numbers_take_decimal_digits_only():
+    # a superscript is a digit to str.isdigit but not to float
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse("2²")
+    assert err.value.position == 1
+    # other scripts' decimal digits read as float reads them
+    assert parse("2\u0663") == Num(23 + 0j)
+
+
 def test_empty_expression_rejected():
     with pytest.raises(ExpressionSyntaxError):
         parse("   ")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spps.errors import ProblemFormatError
+from spps.errors import MeshError, ProblemFormatError
 from spps.problems import (
     Problem,
     SolverConfig,
@@ -14,6 +14,7 @@ from spps.problems import (
     sample_problem,
     with_overrides,
 )
+from spps.spectral import sweep_eigenvalues
 
 MINIMAL = """
 [interval]
@@ -187,6 +188,26 @@ def test_prepare_honours_injected_particular():
     _, samples, _, _, seed = prepare(problem, None, None)
     config2, _, _, _, injected = prepare(problem, None, seed)
     assert injected is seed
+
+
+def test_prepare_rejects_particular_from_another_mesh():
+    problem = parse_problem(MINIMAL)
+    _, _, _, _, start = prepare(problem, SolverConfig(mesh_m=1000), None)
+    with pytest.raises(MeshError, match="another mesh"):
+        prepare(problem, SolverConfig(mesh_m=2000), start)
+    with pytest.raises(MeshError, match="another mesh"):
+        sweep_eigenvalues(problem, SolverConfig(mesh_m=2000), particular=start)
+
+
+def test_solver_rejects_power_sets_numpy_cannot_index():
+    for key in ("n_powers", "mesh"):
+        with pytest.raises(ProblemFormatError, match="numpy can index at most"):
+            parse_problem(MINIMAL + f"[solver]\n{key} = 100000000000000000000\n")
+    # 2 families x 2 rows x (M + 1) nodes at N = 0, 16 bytes per sample
+    limit = np.iinfo(np.intp).max // 16
+    with pytest.raises(ProblemFormatError):
+        SolverConfig(n_terms=0, mesh_m=limit // 4)
+    assert SolverConfig(n_terms=0, mesh_m=limit // 4 - 1).mesh_m == limit // 4 - 1
 
 
 def test_reference_loading_and_matching(tmp_path):
