@@ -23,7 +23,7 @@ from .mesh import (
     build_mesh,
     sample_coefficients,
 )
-from .powers import check_bounds, compute_formal_powers
+from .powers import compute_formal_powers
 from .problems import (
     ParticularPiece,
     Problem,
@@ -55,7 +55,6 @@ __all__ = [
     "sample_coefficients",
     "indefinite_integral",
     "compute_formal_powers",
-    "check_bounds",
     "build_seed_solution",
     "build_basis",
     "evaluate_solution",

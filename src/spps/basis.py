@@ -32,8 +32,8 @@ from .errors import (
     ShiftFailureError,
 )
 from .mesh import ProblemSamples, SampledFunction, constant_function
-from .powers import FormalPowerSet, compute_formal_powers
-from .quadrature import indefinite_integral
+from .powers import FormalPowerSet, _growth_bounds, compute_formal_powers
+from .quadrature import indefinite_integral, l1_norm
 
 __all__ = [
     "ParticularSolution",
@@ -57,6 +57,10 @@ _SHIFT_COMBINATIONS = _SEED_COMBINATIONS + ((1.0, 0.0), (0.0, 1.0))
 EPS_F_FACTOR = 1e-10
 
 RESIDUAL_TOL_FACTOR = 1e-9
+
+TRUST_TAIL_LIMIT = 1e-10
+# a series whose tail stays below this reproduces the longer one to an ulp
+EXACT_TAIL = 2.0**-56
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,26 @@ def build_seed_solution(samples, n_terms):
     Runs the power recursion with f == 1 and -q in place of r, sums both
     series at lambda = 1, and returns the first stock combination
     c1*y1 + c2*y2 whose modulus stays above EPS_F_FACTOR * max|f|.
+
+    The series are built only to the order past which the growth bounds
+    (C1 = ||1/p||_L1, C2 = ||q||_L1) keep every term below EXACT_TAIL;
+    ``n_terms`` caps that order.  If the seed at the shorter order fails,
+    it is built again at ``n_terms``.
     """
+    c1 = l1_norm(SampledFunction(samples.mesh, 1.0 / samples.p.values))
+    c2 = l1_norm(samples.q)
+    for n, bounds in enumerate(_growth_bounds(c1, c2)):
+        if n + 1 >= n_terms or (n * n > c1 * c2 and max(bounds) < EXACT_TAIL):
+            break
+    if n + 1 < n_terms:
+        try:
+            return _seed_at_order(samples, n + 1)
+        except SeedFailureError:
+            pass
+    return _seed_at_order(samples, n_terms)
+
+
+def _seed_at_order(samples, n_terms):
     mesh = samples.mesh
     ones = constant_function(mesh, 1.0)
     seed_r = SampledFunction(mesh, -samples.q.values)
@@ -276,11 +299,6 @@ def _tail_indicator(mu, n, last_row, series_sum):
     if log_tail > 700.0:
         return math.inf
     return math.exp(log_tail)
-
-
-TRUST_TAIL_LIMIT = 1e-10
-# a series whose tail stays below this reproduces the longer one to an ulp
-EXACT_TAIL = 2.0**-56
 
 
 def _evaluate_both(basis, new_center):

@@ -78,13 +78,6 @@ class ShiftFailureError(SolverError):
     """A spectral shift could not produce a usable recentred basis."""
 
 
-class BoundViolationError(SolverError):
-    """Computed power functions exceed their theoretical growth bounds.
-
-    This indicates a quadrature or recursion defect, not a user error.
-    """
-
-
 class ConfigurationError(SolverError):
     """An operation was invoked with an unsupported configuration."""
 

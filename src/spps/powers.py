@@ -6,30 +6,31 @@ first family starts with the r-weight on odd indices; the second family
 starts with the 1/p-weight.  These functions are the lambda-series
 coefficients of the two basis solutions.
 
-``check_bounds`` verifies the factorial growth estimates
+The members obey the factorial growth estimates
 
     |X~(2n)|, |X(2n)|   <= (C1*C2)^n / (n!)^2
     |X(2n-1)|           <= C1^n/n! * C2^(n-1)/(n-1)!
     |X~(2n-1)|          <= C1^(n-1)/(n-1)! * C2^n/n!
 
-with C1 = ||1/(p f^2)||_L1 and C2 = ||r f^2||_L1.  A violation signals a
-quadrature or recursion defect, so it raises rather than returning.
+with C1 = ||1/(p f^2)||_L1 and C2 = ||r f^2||_L1 (Kravchenko & Porter,
+Math. Methods Appl. Sci. 33 (2010) 459-468); ``_growth_bounds`` yields
+their right-hand sides.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundViolationError, NonvanishingError
+from .errors import NonvanishingError
 from .mesh import Mesh, SampledFunction
-from .quadrature import _workspace, indefinite_integral, l1_norm
+from .quadrature import _workspace, indefinite_integral
 
 __all__ = [
     "FormalPowerSet",
     "compute_formal_powers",
-    "check_bounds",
 ]
 
 
@@ -38,19 +39,16 @@ class FormalPowerSet:
     """Stacked samples of both families, indices n = 0 .. 2N+1.
 
     ``tilde[n]`` and ``plain[n]`` hold the n-th member of each family on
-    the expanded mesh grid.  The weight samples used by the recursion are
-    kept for bound checks and reuse.
+    the expanded mesh grid.
     """
 
     mesh: Mesh
     tilde: np.ndarray = field(repr=False)
     plain: np.ndarray = field(repr=False)
     n_max: int
-    weight_r: np.ndarray = field(repr=False)
-    weight_p: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.tilde, self.plain, self.weight_r, self.weight_p):
+        for arr in (self.tilde, self.plain):
             arr.flags.writeable = False
 
     @property
@@ -97,62 +95,19 @@ def compute_formal_powers(f, p, r, n_terms):
             # a fresh view each time: SampledFunction marks its array read-only
             indefinite_integral(SampledFunction(mesh, prod[:]), out=fam[n], work=work)
 
-    return FormalPowerSet(
-        mesh=mesh,
-        tilde=tilde,
-        plain=plain,
-        n_max=n_max,
-        weight_r=weight_r,
-        weight_p=weight_p,
-    )
+    return FormalPowerSet(mesh=mesh, tilde=tilde, plain=plain, n_max=n_max)
 
 
-def check_bounds(fp):
-    """Verify the factorial growth estimates at every node.
+def _growth_bounds(c1, c2):
+    """Yield the growth bounds (even, plain_odd, tilde_odd) for n = 0, 1, 2, ...
 
-    Returns the L1 constants (C1, C2).  Raises BoundViolationError when a
-    computed power exceeds its bound by more than a relative 1e-8
-    (roundoff allowance).
+    ``even`` bounds both families at index 2n, ``plain_odd`` and
+    ``tilde_odd`` bound X(2n-1) and X~(2n-1); there is no index -1, so both
+    are 0 at n = 0.  Once n^2 > c1*c2 no bound grows any more.
     """
-    c1 = l1_norm(SampledFunction(fp.mesh, fp.weight_p))
-    c2 = l1_norm(SampledFunction(fp.mesh, fp.weight_r))
-    allow = 1.0 + 1e-8
-
-    tilde_abs = np.abs(fp.tilde).max(axis=1)
-    plain_abs = np.abs(fp.plain).max(axis=1)
-
-    # below this, the bound itself is at the edge of double precision and the
-    # comparison is meaningless
-    floor = 1e-290
-
-    even_bound = 1.0  # (c1 c2)^n / (n! n!)
-    for n in range(fp.n_terms + 1):
-        if n > 0:
-            even_bound *= c1 * c2 / (n * n)
-        if even_bound < floor:
-            break
-        for fam, name in ((tilde_abs, "tilde"), (plain_abs, "plain")):
-            if fam[2 * n] > even_bound * allow:
-                raise BoundViolationError(
-                    f"{name}[{2 * n}] = {fam[2 * n]:.6e} exceeds bound {even_bound:.6e}; "
-                    "quadrature or recursion defect"
-                )
-
-    plain_odd = 1.0  # c1^n/n! * c2^(n-1)/(n-1)!
-    tilde_odd = 1.0  # c1^(n-1)/(n-1)! * c2^n/n!
-    for n in range(1, fp.n_terms + 2):  # last odd index 2N+1 belongs to n = N+1
-        plain_odd *= c1 / n * (c2 / (n - 1) if n > 1 else 1.0)
-        tilde_odd *= c2 / n * (c1 / (n - 1) if n > 1 else 1.0)
-        idx = 2 * n - 1
-        if max(plain_odd, tilde_odd) < floor:
-            break
-        if plain_abs[idx] > plain_odd * allow and plain_odd >= floor:
-            raise BoundViolationError(
-                f"plain[{idx}] = {plain_abs[idx]:.6e} exceeds bound {plain_odd:.6e}"
-            )
-        if tilde_abs[idx] > tilde_odd * allow and tilde_odd >= floor:
-            raise BoundViolationError(
-                f"tilde[{idx}] = {tilde_abs[idx]:.6e} exceeds bound {tilde_odd:.6e}"
-            )
-
-    return c1, c2
+    even, plain_odd, tilde_odd = 1.0, 0.0, 0.0
+    for n in itertools.count(1):
+        yield even, plain_odd, tilde_odd
+        # index 2n-1 has one factor c1/n or c2/n more than index 2n-2
+        plain_odd, tilde_odd = even * c1 / n, even * c2 / n
+        even *= c1 * c2 / (n * n)

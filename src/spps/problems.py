@@ -44,6 +44,7 @@ Bundled fixtures for the reference problems live under
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -407,6 +408,10 @@ def load_reference(path):
             rows.append((int(parts[0]), parse_complex(parts[1]), float(parts[2])))
         except (ValueError, ProblemFormatError) as exc:
             raise ProblemFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not 0.0 <= rows[-1][2] < math.inf:  # also catches NaN
+            raise ProblemFormatError(
+                f"{path}:{lineno}: tolerance must be finite and nonnegative, got {parts[2]!r}"
+            )
     if not rows:
         raise ProblemFormatError(f"{path}: reference file has no rows")
     return rows

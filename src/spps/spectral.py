@@ -515,10 +515,16 @@ def landscape_of(phi, center, radius, grid):
     and a metadata dict including the trust radius and how much of the
     grid lies beyond it.
     """
+    from .problems import _MAX_SAMPLES  # local import keeps module layers acyclic
+
     if not 0.0 < radius < math.inf:  # also catches NaN
         raise InputError(f"radius must be positive and finite, got {radius}")
     if grid < 16:
         raise InputError(f"grid must be at least 16, got {grid}")
+    if grid * grid > _MAX_SAMPLES:
+        raise InputError(
+            f"grid = {grid} needs {grid * grid} samples; numpy can index at most {_MAX_SAMPLES}"
+        )
     center = complex(center)
     re = np.linspace(center.real - radius, center.real + radius, grid)
     im = np.linspace(center.imag + radius, center.imag - radius, grid)

@@ -19,7 +19,6 @@ from spps.basis import (
     evaluate_solution,
 )
 from spps.mesh import SampledFunction
-from spps.powers import check_bounds
 from spps.problems import (
     fixture_path,
     load_reference,
@@ -37,6 +36,7 @@ from util import (
     TABLE3,
     TABLE4,
     TABLE5,
+    check_bounds,
     identity_shift,
     layered_dirichlet_mismatch,
     newton_root,
@@ -239,7 +239,7 @@ def test_criterion_7_property_suite(bundled_problem):
         assert np.all(basis.powers.plain[1:, 0] == 0.0)
 
         # growth bounds hold for every computed power
-        check_bounds(basis.powers)
+        check_bounds(basis.powers, start.f, samples.p, samples.r)
 
         # Wronskian identity at 10 random lambda near the center
         radius = WRONSKIAN_RADIUS[name]

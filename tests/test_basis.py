@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import spps.basis
 from spps.basis import (
     ParticularSolution,
     build_basis,
@@ -15,10 +17,11 @@ from spps.basis import (
 from spps.errors import (
     NonvanishingError,
     ParticularResidualError,
+    SeedFailureError,
     ShiftFailureError,
 )
 from spps.mesh import SampledFunction, constant_function
-from spps.problems import prepare
+from spps.problems import parse_problem, prepare, sample_problem
 
 from util import (
     TABLE1,
@@ -64,6 +67,95 @@ def test_seed_step_potential_satisfies_equation():
     residual, scale = particular_residual(samples, ps)
     assert residual <= 1e-9 * scale
     assert ps.min_abs > 0
+
+
+# problem scan16 of the benchmark's scan_small workload at seed 1 (N = 40)
+SCAN_TEXT = """
+[interval]
+a = -1
+b = 1
+
+[piece]
+from = -1.0
+to = -0.049714
+p = "-1.0703"
+q = "4.9123"
+r = "0.721"
+
+[piece]
+from = -0.049714
+to = 1.0
+p = "-0.6875"
+q = "-3.8531"
+r = "1.3811"
+
+[bc_left]
+alpha = 0.0
+beta = 1.0
+derivative = p_u_prime
+
+[bc_right]
+alpha = 1.0
+beta = 0.0
+derivative = p_u_prime
+
+[solver]
+max_eigenvalues = 6
+"""
+
+
+def _never_below(c1, c2):
+    # growth bounds that never fall, so the seed is built at its cap
+    return itertools.repeat((math.inf,) * 3)
+
+
+def _record_orders(monkeypatch):
+    orders = []
+    original = spps.basis.compute_formal_powers
+
+    def recording(f, p, r, n_terms):
+        orders.append(n_terms)
+        return original(f, p, r, n_terms)
+
+    monkeypatch.setattr(spps.basis, "compute_formal_powers", recording)
+    return orders
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("example2_complex", 3), ("example2_real", 3), ("example4", 14), ("scan16", 27)],
+)
+def test_seed_built_at_bounded_order(bundled_problem, monkeypatch, name, order):
+    # q = 0 in both example2 problems, so every term past order 3 is exactly 0
+    problem = parse_problem(SCAN_TEXT) if name == "scan16" else bundled_problem(name)
+    samples = sample_problem(problem, min(problem.solver.mesh_m, 30000))
+    n_terms = problem.solver.n_terms
+    orders = _record_orders(monkeypatch)
+    short = build_seed_solution(samples, n_terms)
+    monkeypatch.setattr(spps.basis, "_growth_bounds", _never_below)
+    full = build_seed_solution(samples, n_terms)
+    assert orders == [order, n_terms]
+    assert short.f.values.tobytes() == full.f.values.tobytes()
+    assert short.pf_prime.values.tobytes() == full.pf_prime.values.tobytes()
+
+
+def test_seed_falls_back_to_full_order(bundled_problem, monkeypatch):
+    def failing(samples, ps):
+        raise ParticularResidualError("forced failure")
+
+    samples = sample_problem(bundled_problem("example4"), 2000)
+    monkeypatch.setattr(spps.basis, "verify_particular", failing)
+    orders = _record_orders(monkeypatch)
+    with pytest.raises(SeedFailureError) as fallback:
+        build_seed_solution(samples, 40)
+    assert orders == [14, 40]
+    # the message is the one a build at the cap alone gives
+    monkeypatch.setattr(spps.basis, "_growth_bounds", _never_below)
+    with pytest.raises(SeedFailureError) as full:
+        build_seed_solution(samples, 40)
+    assert orders == [14, 40, 40]
+    assert str(fallback.value) == str(full.value)
+    assert "seed series did not converge" in str(full.value)
 
 
 def test_user_airy_particular_verifies(bundled_problem):

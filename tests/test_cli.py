@@ -303,6 +303,14 @@ def test_landscape_small_grid_exit_2():
     assert "Traceback" not in proc.stderr
 
 
+def test_landscape_huge_grid_exit_2():
+    # numpy refuses this size before allocating; the check must come first
+    proc = run_cli_process("landscape", TRIVIAL, "--radius", "5", "--grid", str(10**20))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: grid = {10**20} needs {10**40} samples")
+    assert "Traceback" not in proc.stderr
+
+
 def test_landscape_command(capsys, tmp_path):
     out_file = tmp_path / "grid.csv"
     start = time.perf_counter()
@@ -349,6 +357,18 @@ def test_verify_malformed_reference_exit_2(capsys, tmp_path):
     bad.write_text("0;1.0;1e-8\n")
     code, _, err = run_cli(capsys, "verify", TRIVIAL, bad)
     assert code == 2
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+def test_verify_bad_tolerance_exit_2(capsys, tmp_path, tolerance):
+    ref = tmp_path / "bad_tolerance.ref"
+    ref.write_text(f"0,-9.8696,{tolerance}\n")
+    code, out, err = run_cli(capsys, "verify", TRIVIAL, ref)
+    assert code == 2
+    assert err == (
+        f"error: {ref}:1: tolerance must be finite and nonnegative, got {tolerance!r}\n"
+    )
+    assert out == ""
 
 
 def test_solve_nan_threshold_exit_2(capsys):

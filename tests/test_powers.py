@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from spps.errors import BoundViolationError, NonvanishingError
+from spps.errors import NonvanishingError
 from spps.expressions import parse
 from spps.mesh import (
     Interval,
@@ -14,9 +14,9 @@ from spps.mesh import (
     constant_function,
     sample_coefficients,
 )
-from spps.powers import check_bounds, compute_formal_powers
+from spps.powers import compute_formal_powers
 
-from util import unit_samples
+from util import BoundViolationError, check_bounds, unit_samples
 
 
 def _unit_powers(n_terms, m=200):
@@ -116,15 +116,15 @@ def test_negative_order_rejected():
 
 
 def test_bounds_unit_problem():
-    _, fp = _unit_powers(10)
-    c1, c2 = check_bounds(fp)
+    s, fp = _unit_powers(10)
+    c1, c2 = check_bounds(fp, constant_function(s.mesh, 1.0), s.p, s.r)
     assert c1 == pytest.approx(1.0, rel=1e-13)
     assert c2 == pytest.approx(1.0, rel=1e-13)
 
 
 def test_bounds_order_zero_equality():
-    _, fp = _unit_powers(0)
-    check_bounds(fp)  # |X^(0)| = 1 <= 1 with slack
+    s, fp = _unit_powers(0)
+    check_bounds(fp, constant_function(s.mesh, 1.0), s.p, s.r)  # |X^(0)| = 1 <= 1 with slack
 
 
 def test_bounds_layered_problem():
@@ -134,17 +134,17 @@ def test_bounds_layered_problem():
 
     config, samples, _, _, start = prepare(layered_problem(n_terms=30, m=600), None, None)
     basis = build_basis(start, samples, 30)
-    c1, c2 = check_bounds(basis.powers)
+    c1, c2 = check_bounds(basis.powers, start.f, samples.p, samples.r)
     assert c1 > 0 and c2 > 0 and np.isfinite(c1 + c2)
 
 
 def test_bounds_catch_corruption():
-    _, fp = _unit_powers(6)
+    s, fp = _unit_powers(6)
     tampered = fp.tilde.copy()
     tampered[8] = tampered[8] * 500.0  # x^8/8! * 500 exceeds the 1/(4!)^2 bound
     bad = replace(fp, tilde=tampered)
-    with pytest.raises(BoundViolationError):
-        check_bounds(bad)
+    with pytest.raises(BoundViolationError, match=r"tilde\[8\]"):
+        check_bounds(bad, constant_function(s.mesh, 1.0), s.p, s.r)
 
 
 def test_power_set_accessors():

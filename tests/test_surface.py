@@ -16,7 +16,7 @@ TOP_LEVEL = [
     "BoundaryCondition", "EigenvalueRecord", "InputError", "Interval", "ParticularPiece",
     "Piece", "Problem", "SampledFunction", "SolverConfig", "SolverError", "SppsError",
     "__version__", "assemble_characteristic", "build_basis", "build_mesh",
-    "build_seed_solution", "characteristic_at", "check_bounds", "compute_formal_powers",
+    "build_seed_solution", "characteristic_at", "compute_formal_powers",
     "count_zeros", "evaluate_solution", "fixture_path", "indefinite_integral",
     "load_problem", "parse_problem", "roots_of", "sample_coefficients", "sample_problem",
     "shift_basis", "sweep_eigenvalues",

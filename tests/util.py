@@ -19,8 +19,9 @@ from spps.mesh import (
     build_mesh,
     sample_coefficients,
 )
+from spps.powers import _growth_bounds
 from spps.problems import ParticularPiece, Problem, SolverConfig
-from spps.quadrature import indefinite_integral
+from spps.quadrature import indefinite_integral, l1_norm
 from spps.spectral import BoundaryCondition
 
 
@@ -157,6 +158,36 @@ def truncation_residual(basis, lam, which="first"):
     acc = indefinite_integral(SampledFunction(samples.mesh, integrand))
     res = pu - pu[0] - acc.values
     return float(np.abs(res).max())
+
+
+class BoundViolationError(AssertionError):
+    """Computed powers exceed their growth bounds: a quadrature or recursion defect."""
+
+
+def check_bounds(fp, f, p, r):
+    """Check the growth estimates of ``fp``, built on ``f``, ``p``, ``r``, at every node.
+
+    Recomputes the weights r f^2 and 1/(p f^2) and returns their L1 norms
+    (C1, C2).  Raises BoundViolationError when a power exceeds its bound by
+    more than a relative 1e-8 (roundoff allowance).  Bounds below 1e-290 sit
+    at the edge of double precision and are not compared.
+    """
+    f2 = f.values * f.values
+    c1 = l1_norm(SampledFunction(fp.mesh, 1.0 / (p.values * f2)))
+    c2 = l1_norm(SampledFunction(fp.mesh, r.values * f2))
+    peaks = {"tilde": np.abs(fp.tilde).max(axis=1), "plain": np.abs(fp.plain).max(axis=1)}
+    # the last odd index 2N+1 belongs to n = N+1
+    for n, (even, plain_odd, tilde_odd) in zip(range(fp.n_terms + 2), _growth_bounds(c1, c2)):
+        checks = [("plain", 2 * n - 1, plain_odd), ("tilde", 2 * n - 1, tilde_odd)] if n else []
+        if n <= fp.n_terms:
+            checks += [("tilde", 2 * n, even), ("plain", 2 * n, even)]
+        for name, idx, bound in checks:
+            if bound >= 1e-290 and peaks[name][idx] > bound * (1.0 + 1e-8):
+                raise BoundViolationError(
+                    f"{name}[{idx}] = {peaks[name][idx]:.6e} exceeds bound {bound:.6e}; "
+                    "quadrature or recursion defect"
+                )
+    return c1, c2
 
 
 TABLE1 = np.array([
