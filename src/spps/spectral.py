@@ -17,13 +17,18 @@ polynomial vanish at its own center), then move the center according to
 the shift schedule and repeat.  A validation basis is built only at the
 order the current polynomial needs near its center and one step beyond;
 it is rebuilt at full order whenever that short series cannot match the
-full one.
+full one.  Every main basis after the first (the one whose polynomial
+gives the next candidates) is built at the order its predecessor's
+polynomial needs over twice the distance to the eigenvalue it accepted,
+plus a margin; it is rebuilt at full order before a candidate is
+validated where its last coefficient still counts, or when it stalls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cmp_to_key
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -64,6 +69,8 @@ COEFF_SIGNIFICANCE = 1e-14
 # distance ~10 from the center.
 ROOT_STRIP_FACTOR = 1e-250
 DEDUPE_FACTOR = 1e-6
+# terms a main basis keeps beyond the order its previous polynomial needs
+_MAIN_MARGIN = 4
 LANDSCAPE_CAP = 308.0
 MAX_CONTOUR_SAMPLES = 2**18
 
@@ -359,45 +366,15 @@ def sweep_eigenvalues(problem, config=None, particular=None):
     records = []
     found = []
     while len(records) < config.max_eigenvalues:
+        vbasis = None  # free the last validation basis before the next is built
         phi = assemble_characteristic(basis, bc_left, bc_right)
-        candidates = roots_of(phi)
-        order = np.argsort(np.abs(candidates - basis.center))
-        n_valid = _validation_order(phi, config)
-        failures = 0
-        residual = None
-        for idx in order:
-            cand = complex(candidates[idx])
-            if _is_duplicate(cand, found):
-                continue
-            vbasis = None  # free the previous validation basis before building the next
-            try:
-                vbasis = shift_basis(basis, cand, n_terms=n_valid)
-                vphi = assemble_characteristic(vbasis, bc_left, bc_right)
-                if (
-                    vbasis.n_terms < n_full
-                    and abs(vphi.coeffs[vbasis.n_terms]) >= EXACT_TAIL * vphi.scale
-                ):
-                    # the short series is not complete: its last coefficient
-                    # still counts, so the polynomial needs the full order
-                    vbasis = _full_order(vbasis, n_full)
-                    vphi = assemble_characteristic(vbasis, bc_left, bc_right)
-                residual = abs(vphi.coeffs[0]) / vphi.scale
-            except SolverError:
-                pass
-            else:
-                if residual <= config.accept_threshold:
-                    break
-            failures += 1
-            if failures >= 3:
-                last = "" if residual is None else f" (last residual {residual:.2e})"
-                raise SweepStalledError(
-                    f"three consecutive candidates failed validation near center "
-                    f"{basis.center}{last}; increase the power count or the mesh resolution"
-                )
-        else:
-            raise SweepStalledError(
-                f"no further candidate root could be validated from center {basis.center}"
-            )
+        cand, vbasis, vphi = _validate_nearest(basis, phi, found, config, bc_left, bc_right)
+        if vbasis is None:
+            # the short main series is cut off where the walk reads it: it
+            # is freed before the rebuild at full order on its particular
+            particular, basis = basis.particular, None
+            basis = build_basis(particular, samples, n_full)
+            continue
         lam = _refine_in_frame(vphi, cand)
         records.append(
             EigenvalueRecord(
@@ -412,9 +389,10 @@ def sweep_eigenvalues(problem, config=None, particular=None):
         if len(records) >= config.max_eigenvalues:
             break
         next_center = _next_center(config, found, basis.center)
+        n_main = _main_order(phi, config, lam)
         if next_center == vbasis.center:
             basis = vbasis  # the old basis is freed before the rebuild
-            basis = _full_order(basis, n_full)
+            basis = _full_order(basis, n_main)
         elif config.policy != "fixed_center":
             # Re-expand even when next_center is only ~1e-12 from the
             # validation center (delta = 0, after refinement): the rebuild
@@ -423,39 +401,126 @@ def sweep_eigenvalues(problem, config=None, particular=None):
             # piecewise-constant problems and moved eigenvalues by up to 9e-12.
             basis = vbasis  # the old basis is freed before the build
             try:
-                basis = shift_basis(basis, next_center, n_terms=n_full)
+                basis = shift_basis(basis, next_center, n_terms=n_main)
             except ShiftFailureError:
                 break  # cannot continue the walk; report what was found
 
     if is_real_problem(samples, bc_left, bc_right, config.delta):
-        records.sort(key=lambda rec: rec.lam.real)
-        records = [replace(rec, index=i) for i, rec in enumerate(records)]
+        records = _sorted_by_real_part(records)
     return records
 
 
-def _validation_order(phi, config):
-    """Order of the series that validates the candidates of ``phi``.
+def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
+    """Validate the new roots of ``phi`` nearest its center first.
+
+    Returns ``(candidate, validation basis, its polynomial)`` for the first
+    candidate that passes, or three Nones when ``basis`` is shorter than
+    full order and must be rebuilt first: its last coefficient still counts
+    at the candidate, or it stalls.  A full-order basis that stalls raises
+    ``SweepStalledError``.
+    """
+    n_full = config.n_terms
+    short = basis.n_terms < n_full
+    candidates = roots_of(phi)
+    order = np.argsort(np.abs(candidates - basis.center))
+    n_valid = _validation_order(phi, config)
+    failures = 0
+    residual = None
+    for idx in order:
+        cand = complex(candidates[idx])
+        if _is_duplicate(cand, found):
+            continue
+        reach = abs(cand - basis.center)
+        if short and reach > 0 and _counting_terms(phi, reach)[basis.n_terms]:
+            return None, None, None
+        try:
+            vbasis = shift_basis(basis, cand, n_terms=n_valid)
+            vphi = assemble_characteristic(vbasis, bc_left, bc_right)
+            if vbasis.n_terms < n_full and _counting_terms(vphi, 1.0)[vbasis.n_terms]:
+                # the short series is not complete: its last coefficient
+                # still counts, so the polynomial needs the full order
+                vbasis = _full_order(vbasis, n_full)
+                vphi = assemble_characteristic(vbasis, bc_left, bc_right)
+            residual = abs(vphi.coeffs[0]) / vphi.scale
+        except SolverError:
+            pass
+        else:
+            if residual <= config.accept_threshold:
+                return cand, vbasis, vphi
+        vbasis = vphi = None  # free the failed validation basis before the next
+        failures += 1
+        if failures >= 3:
+            if short:
+                return None, None, None
+            last = "" if residual is None else f" (last residual {residual:.2e})"
+            raise SweepStalledError(
+                f"three consecutive candidates failed validation near center "
+                f"{basis.center}{last}; increase the power count or the mesh resolution"
+            )
+    if short:
+        return None, None, None
+    raise SweepStalledError(
+        f"no further candidate root could be validated from center {basis.center}"
+    )
+
+
+def _sorted_by_real_part(records):
+    """``records`` by increasing real part, reindexed.
+
+    Real parts that agree within DEDUPE_FACTOR are a conjugate pair (or
+    roundoff): those go by imaginary part, lower half first, so the last
+    bit of two equal real parts does not decide the order.
+    """
+
+    def compare(a, b):
+        if abs(a.lam.real - b.lam.real) <= DEDUPE_FACTOR * (1.0 + max(abs(a.lam), abs(b.lam))):
+            return (a.lam.imag > b.lam.imag) - (a.lam.imag < b.lam.imag)
+        return -1 if a.lam.real < b.lam.real else 1
+
+    ordered = sorted(records, key=cmp_to_key(compare))
+    return [replace(rec, index=i) for i, rec in enumerate(ordered)]
+
+
+def _counting_terms(phi, reach):
+    """Mask of the terms |c_k| reach^k at or above EXACT_TAIL of the largest."""
+    # log-space: reach**k overflows for large steps
+    with np.errstate(divide="ignore"):
+        log_terms = np.log(np.abs(phi.coeffs)) + math.log(reach) * np.arange(phi.coeffs.size)
+    return log_terms >= log_terms.max() + math.log(EXACT_TAIL)
+
+
+def _validation_order(phi, config, reach=0.0):
+    """Order of the series that reads ``phi``'s basis out to ``reach``.
 
     A validation basis is read within about 1e-12 of its center and at the
-    next center, |delta| away.  Over R = max(1, |delta|) the terms of
+    next center, |delta| away.  Over R = max(1, |delta|, reach) the terms of
     ``phi`` beyond the last one above EXACT_TAIL of the largest add nothing;
     two more terms are kept as a margin.  ``shift_basis`` and the sweep
     rebuild at full order whenever this falls short.
     """
-    reach = max(1.0, abs(complex(config.delta)))
-    # log-space: reach**k overflows for large steps
-    with np.errstate(divide="ignore"):
-        log_terms = np.log(np.abs(phi.coeffs)) + math.log(reach) * np.arange(phi.coeffs.size)
-    last = int(np.flatnonzero(log_terms >= log_terms.max() + math.log(EXACT_TAIL))[-1])
+    reach = max(1.0, abs(complex(config.delta)), reach)
+    last = int(np.flatnonzero(_counting_terms(phi, reach))[-1])
     return min(config.n_terms, last + 2)
 
 
-def _full_order(vbasis, n_terms):
-    """``vbasis`` itself, or rebuilt at ``n_terms`` on its particular solution."""
-    if vbasis.n_terms >= n_terms:
-        return vbasis
-    full = build_basis(vbasis.particular, vbasis.samples, n_terms)
-    return replace(full, shift_tail=vbasis.shift_tail)
+def _main_order(phi, config, lam):
+    """Order of the next main basis after ``phi`` accepted ``lam``.
+
+    The next candidates are expected about as far from the next center as
+    ``lam`` was from ``phi``'s, so ``phi`` is read over twice that distance,
+    with _MAIN_MARGIN more terms.  The sweep rebuilds at full order when a
+    candidate lies beyond that reach.
+    """
+    reach = 2.0 * abs(lam - phi.center)
+    return min(config.n_terms, _validation_order(phi, config, reach) + _MAIN_MARGIN)
+
+
+def _full_order(basis, n_terms):
+    """``basis`` itself, or rebuilt at ``n_terms`` on its particular solution."""
+    if basis.n_terms >= n_terms:
+        return basis
+    full = build_basis(basis.particular, basis.samples, n_terms)
+    return replace(full, shift_tail=basis.shift_tail)
 
 
 def _next_center(config, found, current):
@@ -465,9 +530,11 @@ def _next_center(config, found, current):
     if config.policy == "always_previous":
         return found[-1] + config.delta
     # previous_if_upper_half: stay on the last eigenvalue while its
-    # imaginary part is positive, otherwise fall back one more
-    if found[-1].imag > 0 or len(found) < 2:
-        return found[-1] + config.delta
+    # imaginary part is positive or roundoff (a real eigenvalue), otherwise
+    # fall back one more
+    last = found[-1]
+    if last.imag >= -DEDUPE_FACTOR * (1.0 + abs(last)) or len(found) < 2:
+        return last + config.delta
     return found[-2] + config.delta
 
 

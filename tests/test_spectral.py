@@ -20,7 +20,9 @@ from spps.spectral import (
     POLICIES,
     BoundaryCondition,
     CharacteristicPolynomial,
+    EigenvalueRecord,
     _next_center,
+    _sorted_by_real_part,
     assemble_characteristic,
     characteristic_at,
     count_zeros,
@@ -340,6 +342,8 @@ def test_schedule_policies():
     # negative imaginary part: fall back to the one before
     assert _next_center(upper, [1 + 1j, 2 - 1j], 0.0) == 1.5 + 1j
     assert _next_center(upper, [2 - 1j], 0.0) == 2.5 - 1j  # nothing earlier to use
+    # an imaginary part at roundoff level is a real eigenvalue: stay on it
+    assert _next_center(upper, [1 + 1j, 2 - 1e-13j], 0.0) == 2.5 - 1e-13j
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5])
@@ -357,13 +361,36 @@ def test_sweep_under_each_policy(bundled_problem, policy, delta):
     centers = [rec.center_used for rec in reversed(records)]
     assert centers[0] == 0
     for k in (1, 2):
-        if policy == "fixed_center":
-            expect = 0
-        elif policy == "always_previous" or found[k - 1].imag > 0 or k < 2:
-            expect = found[k - 1] + delta
-        else:
-            expect = found[k - 2] + delta
+        # the spectrum is real, so previous_if_upper_half stays on the last one
+        expect = 0 if policy == "fixed_center" else found[k - 1] + delta
         assert centers[k] == expect
+
+
+def test_upper_half_policy_stays_on_real_eigenvalue(bundled_problem):
+    # -4 pi^2 comes out with an imaginary part of about -1.9e-13: roundoff,
+    # so the third eigenvalue is found from -4 pi^2, not from -pi^2
+    problem = with_overrides(
+        bundled_problem("trivial"), policy="previous_if_upper_half", delta=0.0, max_eigenvalues=3
+    )
+    records = sweep_eigenvalues(problem)
+    third = records[0]  # sorted by real part
+    assert abs(third.lam + 9 * math.pi**2) <= 1e-9
+    assert abs(third.center_used + 4 * math.pi**2) <= 1e-9
+
+
+@pytest.mark.parametrize("upper_first", [False, True])
+def test_conjugate_pair_sorts_lower_half_first(upper_first):
+    # example3's pair -0.2093 -+ 0.7567i with real parts one ulp apart, in
+    # each direction: the last bit must not decide which member comes first
+    re = -0.20931
+    upper_re = math.nextafter(re, -math.inf) if upper_first else math.nextafter(re, math.inf)
+    lower = EigenvalueRecord(0, complex(re, -0.7567), 0j, 0.0, 0.0)
+    upper = EigenvalueRecord(1, complex(upper_re, 0.7567), 0j, 0.0, 0.0)
+    far = EigenvalueRecord(2, complex(-5.0, 0.0), 0j, 0.0, 0.0)
+    for records in ([lower, upper, far], [upper, far, lower]):
+        ordered = _sorted_by_real_part(records)
+        assert [rec.lam for rec in ordered] == [far.lam, lower.lam, upper.lam]
+        assert [rec.index for rec in ordered] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("budget", [0, -1])
@@ -445,21 +472,32 @@ def test_trust_radius_monotone_in_tolerance():
     assert phi.trust_radius(1e-8) <= phi.trust_radius(1e-4)
 
 
-def _sweep_with_orders(problem, monkeypatch):
+def _sweep_with_orders(problem, monkeypatch, alive_orders=None):
     """Records of the sweep and the n_terms of every power build, in order.
 
     The starting solution is prepared first, so a seed build is not counted.
+    ``alive_orders``, when given, receives for every build the orders of the
+    bases still alive at its start.
     """
     config, _, _, _, start = prepare(problem)
     orders = []
+    alive = []
     original = basis_module.compute_formal_powers
+    original_init = SppsBasis.__init__
 
     def recording(f, p, r, n_terms):
         orders.append(n_terms)
+        if alive_orders is not None:
+            alive_orders.append([b.n_terms for b in (ref() for ref in alive) if b is not None])
         return original(f, p, r, n_terms)
+
+    def tracked_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        alive.append(weakref.ref(self))
 
     with monkeypatch.context() as m:
         m.setattr(basis_module, "compute_formal_powers", recording)
+        m.setattr(SppsBasis, "__init__", tracked_init)
         records = sweep_eigenvalues(problem, config, particular=start)
     return records, orders
 
@@ -479,6 +517,10 @@ def _assert_same_records(records, reference):
         assert abs(rec.center_used.imag - ref.center_used.imag) <= 1e-20
 
 
+def _full_order(phi, config, *args):
+    return config.n_terms
+
+
 @pytest.mark.parametrize("name", ["trivial", "three_pieces"])
 def test_validation_is_short_and_matches_full_order(bundled_problem, monkeypatch, name):
     problem = bundled_problem("trivial") if name == "trivial" else three_piece_problem()
@@ -488,24 +530,29 @@ def test_validation_is_short_and_matches_full_order(bundled_problem, monkeypatch
     # start basis, then per eigenvalue one validation build and one
     # re-expansion (none after the last): no full-order fallback fired
     assert len(orders) == 2 * len(records)
-    assert all(n == n_full for n in orders[0::2])
+    assert orders[0] == n_full
+    assert all(n <= n_full for n in orders[2::2])
     assert all(n < n_full for n in orders[1::2])
 
-    def full_order(phi, config):
-        return config.n_terms
+    # with every main basis at full order, the short validation bases give
+    # the records of full-order validation bit for bit
+    monkeypatch.setattr(spectral_module, "_main_order", _full_order)
+    records, orders = _sweep_with_orders(problem, monkeypatch)
+    assert all(n == n_full for n in orders[0::2])
+    assert all(n < n_full for n in orders[1::2])
 
     # an unrefined root makes the validation center the next center, so the
     # short validation basis is rebuilt at full order to become the main one
     with monkeypatch.context() as m:
         m.setattr(spectral_module, "_refine_in_frame", lambda vphi, cand: cand)
         unrefined, unrefined_orders = _sweep_with_orders(problem, m)
-        m.setattr(spectral_module, "_validation_order", full_order)
+        m.setattr(spectral_module, "_validation_order", _full_order)
         unrefined_full, _ = _sweep_with_orders(problem, m)
     assert all(n == n_full for n in unrefined_orders[0::2])
     assert all(n < n_full for n in unrefined_orders[1::2])
     _assert_same_records(unrefined, unrefined_full)
 
-    monkeypatch.setattr(spectral_module, "_validation_order", full_order)
+    monkeypatch.setattr(spectral_module, "_validation_order", _full_order)
     reference, ref_orders = _sweep_with_orders(problem, monkeypatch)
     assert set(ref_orders) == {n_full}
     _assert_same_records(records, reference)
@@ -515,4 +562,41 @@ def test_validation_is_short_and_matches_full_order(bundled_problem, monkeypatch
     forced, forced_orders = _sweep_with_orders(problem, monkeypatch)
     shorts = [i for i, n in enumerate(forced_orders) if n == 1]
     assert shorts and all(forced_orders[i + 1] == n_full for i in shorts)
+    _assert_same_records(forced, reference)
+
+
+@pytest.mark.parametrize("name", ["trivial", "three_pieces"])
+def test_main_order_forced_full_matches_default(bundled_problem, monkeypatch, name):
+    problem = bundled_problem("trivial") if name == "trivial" else three_piece_problem()
+    n_full = problem.solver.n_terms
+
+    records, orders = _sweep_with_orders(problem, monkeypatch)
+    assert any(n < n_full for n in orders[2::2])  # some main basis is short
+    monkeypatch.setattr(spectral_module, "_main_order", _full_order)
+    reference, ref_orders = _sweep_with_orders(problem, monkeypatch)
+    assert all(n == n_full for n in ref_orders[0::2])
+    assert len(records) == len(reference)
+    for rec, ref in zip(records, reference):
+        assert abs(rec.lam - ref.lam) <= 1e-12 * abs(ref.lam)
+        assert abs(rec.center_used - ref.center_used) <= 1e-12 * max(1.0, abs(ref.center_used))
+
+
+@pytest.mark.parametrize("n_main", [1, 3])
+@pytest.mark.parametrize("name", ["trivial", "three_pieces"])
+def test_short_main_basis_rebuilt_at_full_order(bundled_problem, monkeypatch, name, n_main):
+    problem = bundled_problem("trivial") if name == "trivial" else three_piece_problem()
+    n_full = problem.solver.n_terms
+
+    monkeypatch.setattr(spectral_module, "_main_order", _full_order)
+    reference, _ = _sweep_with_orders(problem, monkeypatch)
+    # a main basis this short still counts at every candidate: it is rebuilt
+    # at full order before any candidate of it is validated
+    monkeypatch.setattr(spectral_module, "_main_order", lambda phi, config, lam: n_main)
+    alive_orders = []
+    forced, forced_orders = _sweep_with_orders(problem, monkeypatch, alive_orders)
+    shorts = [i for i, n in enumerate(forced_orders) if n == n_main]
+    assert len(shorts) == len(forced) - 1
+    assert all(forced_orders[i + 1] == n_full for i in shorts)
+    # the short basis is freed before its rebuild
+    assert all(alive_orders[i + 1] == [] for i in shorts)
     _assert_same_records(forced, reference)
