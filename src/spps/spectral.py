@@ -17,11 +17,13 @@ polynomial vanish at its own center), then move the center according to
 the shift schedule and repeat.  A validation basis is built only at the
 order the current polynomial needs near its center and one step beyond;
 it is rebuilt at full order whenever that short series cannot match the
-full one.  Every main basis after the first (the one whose polynomial
-gives the next candidates) is built at the order its predecessor's
-polynomial needs over twice the distance to the eigenvalue it accepted,
-plus a margin; it is rebuilt at full order before a candidate is
-validated where its last coefficient still counts, or when it stalls.
+full one.  A main basis (the one whose polynomial gives the next
+candidates) is built at the order its predecessor's polynomial needs over
+twice the distance to the eigenvalue it accepted, plus a margin; the
+first, with no predecessor, at two terms plus the margin.  Where its last
+coefficient still counts at the nearest new candidate, it is rebuilt at
+twice its order (capped at full order) before that candidate is
+validated; when it stalls, at full order.
 """
 
 from __future__ import annotations
@@ -283,10 +285,13 @@ def count_zeros(phi_evaluator, center, radius, samples=512):
 
     Sums principal-branch phase increments between consecutive samples;
     any increment near +-pi is ambiguous and triggers doubling of the
-    sample count (up to MAX_CONTOUR_SAMPLES).
+    sample count (up to MAX_CONTOUR_SAMPLES).  ``samples`` must be at
+    least 1; fewer than 256 start at 256.
     """
     if not 0.0 < radius < math.inf:  # also catches NaN
         raise InputError(f"radius must be positive and finite, got {radius}")
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     if samples > MAX_CONTOUR_SAMPLES:
         raise InputError(f"samples must be at most {MAX_CONTOUR_SAMPLES}, got {samples}")
     n = max(int(samples), 256)
@@ -360,21 +365,22 @@ def sweep_eigenvalues(problem, config=None, particular=None):
     from .problems import prepare  # local import keeps module layers acyclic
 
     config, samples, bc_left, bc_right, start = prepare(problem, config, particular)
-    n_full = config.n_terms
-    basis = build_basis(start, samples, n_full)
+    basis = build_basis(start, samples, _main_order(None, config, None))
 
     records = []
     found = []
     while len(records) < config.max_eigenvalues:
         vbasis = None  # free the last validation basis before the next is built
         phi = assemble_characteristic(basis, bc_left, bc_right)
-        cand, vbasis, vphi = _validate_nearest(basis, phi, found, config, bc_left, bc_right)
-        if vbasis is None:
-            # the short main series is cut off where the walk reads it: it
-            # is freed before the rebuild at full order on its particular
+        outcome = _validate_nearest(basis, phi, found, config, bc_left, bc_right)
+        if not isinstance(outcome, tuple):
+            # an order: the short main series is cut off where the walk reads
+            # it, and is freed before the rebuild on its particular solution
             particular, basis = basis.particular, None
-            basis = build_basis(particular, samples, n_full)
+            basis = build_basis(particular, samples, outcome)
             continue
+        cand, vbasis, vphi = outcome
+        outcome = None  # vbasis alone holds the validation basis
         lam = _refine_in_frame(vphi, cand)
         records.append(
             EigenvalueRecord(
@@ -414,9 +420,10 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
     """Validate the new roots of ``phi`` nearest its center first.
 
     Returns ``(candidate, validation basis, its polynomial)`` for the first
-    candidate that passes, or three Nones when ``basis`` is shorter than
-    full order and must be rebuilt first: its last coefficient still counts
-    at the candidate, or it stalls.  A full-order basis that stalls raises
+    candidate that passes, or the order to rebuild ``basis`` at when it is
+    shorter than full order: twice its own (at least 1, at most full order)
+    when its last coefficient still counts at the candidate, full order
+    when it stalls.  A full-order basis that stalls raises
     ``SweepStalledError``.
     """
     n_full = config.n_terms
@@ -432,7 +439,7 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
             continue
         reach = abs(cand - basis.center)
         if short and reach > 0 and _counting_terms(phi, reach)[basis.n_terms]:
-            return None, None, None
+            return min(n_full, max(1, 2 * basis.n_terms))
         try:
             vbasis = shift_basis(basis, cand, n_terms=n_valid)
             vphi = assemble_characteristic(vbasis, bc_left, bc_right)
@@ -451,14 +458,14 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
         failures += 1
         if failures >= 3:
             if short:
-                return None, None, None
+                return n_full
             last = "" if residual is None else f" (last residual {residual:.2e})"
             raise SweepStalledError(
                 f"three consecutive candidates failed validation near center "
                 f"{basis.center}{last}; increase the power count or the mesh resolution"
             )
     if short:
-        return None, None, None
+        return n_full
     raise SweepStalledError(
         f"no further candidate root could be validated from center {basis.center}"
     )
@@ -508,9 +515,13 @@ def _main_order(phi, config, lam):
 
     The next candidates are expected about as far from the next center as
     ``lam`` was from ``phi``'s, so ``phi`` is read over twice that distance,
-    with _MAIN_MARGIN more terms.  The sweep rebuilds at full order when a
-    candidate lies beyond that reach.
+    with _MAIN_MARGIN more terms.  The first main basis has nothing read
+    before it (``phi`` is None): it gets two terms plus the margin, as if
+    only a constant term counted.  The sweep doubles the order of a main
+    basis whose last coefficient counts at a candidate.
     """
+    if phi is None:
+        return min(config.n_terms, 2 + _MAIN_MARGIN)
     reach = 2.0 * abs(lam - phi.center)
     return min(config.n_terms, _validation_order(phi, config, reach) + _MAIN_MARGIN)
 

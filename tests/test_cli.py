@@ -280,6 +280,14 @@ def test_count_too_many_samples_exit_2():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_count_too_few_samples_exit_2(samples):
+    proc = run_cli_process("count", TRIVIAL, "--radius", "1", "--samples", samples)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: samples must be at least 1, got {samples}\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("radius", ["nan", "inf"])
 def test_count_malformed_radius_exit_2(radius):
     proc = run_cli_process("count", TRIVIAL, "--radius", radius)

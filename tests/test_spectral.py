@@ -21,6 +21,7 @@ from spps.spectral import (
     BoundaryCondition,
     CharacteristicPolynomial,
     EigenvalueRecord,
+    _main_order,
     _next_center,
     _sorted_by_real_part,
     assemble_characteristic,
@@ -249,6 +250,15 @@ def test_count_requires_positive_radius():
         count_zeros(phi.evaluate, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_count_requires_positive_samples(samples):
+    phi = CharacteristicPolynomial(np.array([1.0, 1.0], dtype=complex), 0.0)
+    with pytest.raises(InputError, match="at least 1"):
+        count_zeros(phi.evaluate, 0.0, 2.0, samples=samples)
+    # one sample is accepted and starts at the 256-sample floor
+    assert count_zeros(phi.evaluate, 0.0, 2.0, samples=1) == 1
+
+
 # ---------------------------------------------------------------------------
 # Landscape
 
@@ -461,9 +471,10 @@ def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, mo
     assert len(records) == 2
     assert calls["verify_particular"] == calls["build_basis"]
     assert calls["evaluate_solution"] == 2 * calls["shift_basis"]
-    # a validation shift per eigenvalue plus the re-expansion at each refined
-    # value (the first build is the start basis, the last eigenvalue needs none)
-    assert calls["build_basis"] == 2 * len(records)
+    # the start basis and its two growth rebuilds (6, 12 and 24 terms), then a
+    # validation shift per eigenvalue plus the re-expansion at each refined
+    # value (the last eigenvalue needs none)
+    assert calls["build_basis"] == 2 * len(records) + 2
     assert max(most_alive_at_build) <= 1
 
 
@@ -472,18 +483,22 @@ def test_trust_radius_monotone_in_tolerance():
     assert phi.trust_radius(1e-8) <= phi.trust_radius(1e-4)
 
 
-def _sweep_with_orders(problem, monkeypatch, alive_orders=None):
+def _sweep_with_orders(problem, monkeypatch, alive_orders=None, rebuilt=None):
     """Records of the sweep and the n_terms of every power build, in order.
 
     The starting solution is prepared first, so a seed build is not counted.
     ``alive_orders``, when given, receives for every build the orders of the
-    bases still alive at its start.
+    bases still alive at its start.  ``rebuilt``, when given, receives the
+    indices of the builds the sweep makes through its own ``build_basis``
+    (the first main basis, growth, stall and full-order rebuilds) rather
+    than through ``shift_basis``.
     """
     config, _, _, _, start = prepare(problem)
     orders = []
     alive = []
     original = basis_module.compute_formal_powers
     original_init = SppsBasis.__init__
+    original_build = spectral_module.build_basis
 
     def recording(f, p, r, n_terms):
         orders.append(n_terms)
@@ -495,11 +510,25 @@ def _sweep_with_orders(problem, monkeypatch, alive_orders=None):
         original_init(self, *args, **kwargs)
         alive.append(weakref.ref(self))
 
+    def sweep_build(particular, samples, n_terms):
+        if rebuilt is not None:
+            rebuilt.append(len(orders))
+        return original_build(particular, samples, n_terms)
+
     with monkeypatch.context() as m:
         m.setattr(basis_module, "compute_formal_powers", recording)
         m.setattr(SppsBasis, "__init__", tracked_init)
+        m.setattr(spectral_module, "build_basis", sweep_build)
         records = sweep_eigenvalues(problem, config, particular=start)
     return records, orders
+
+
+def _grown_from(orders, rebuilt, start):
+    """Orders of the build at ``start`` and of the sweep's rebuilds right after it."""
+    end = start + 1
+    while end in rebuilt:
+        end += 1
+    return orders[start:end]
 
 
 def _assert_same_records(records, reference):
@@ -517,8 +546,20 @@ def _assert_same_records(records, reference):
         assert abs(rec.center_used.imag - ref.center_used.imag) <= 1e-20
 
 
+def _assert_close_records(records, reference):
+    assert len(records) == len(reference)
+    for rec, ref in zip(records, reference):
+        assert abs(rec.lam - ref.lam) <= 1e-12 * abs(ref.lam)
+        assert abs(rec.center_used - ref.center_used) <= 1e-12 * max(1.0, abs(ref.center_used))
+
+
 def _full_order(phi, config, *args):
     return config.n_terms
+
+
+def _first_main_order(n_first):
+    """A ``_main_order`` that builds the first main basis at ``n_first`` terms."""
+    return lambda phi, config, lam: n_first if phi is None else _main_order(phi, config, lam)
 
 
 @pytest.mark.parametrize("name", ["trivial", "three_pieces"])
@@ -526,13 +567,18 @@ def test_validation_is_short_and_matches_full_order(bundled_problem, monkeypatch
     problem = bundled_problem("trivial") if name == "trivial" else three_piece_problem()
     n_full = problem.solver.n_terms
 
-    records, orders = _sweep_with_orders(problem, monkeypatch)
-    # start basis, then per eigenvalue one validation build and one
-    # re-expansion (none after the last): no full-order fallback fired
-    assert len(orders) == 2 * len(records)
-    assert orders[0] == n_full
-    assert all(n <= n_full for n in orders[2::2])
-    assert all(n < n_full for n in orders[1::2])
+    rebuilt = []
+    records, orders = _sweep_with_orders(problem, monkeypatch, rebuilt=rebuilt)
+    # the start basis grows from 6 terms until its nearest candidate no longer
+    # reads its last coefficient, then per eigenvalue one validation build and
+    # one re-expansion (none after the last): no full-order fallback fired
+    grown = _grown_from(orders, rebuilt, 0)
+    assert grown == [6, 12, 24]
+    assert rebuilt == [0, 1, 2]
+    walk = orders[len(grown) - 1 :]
+    assert len(walk) == 2 * len(records)
+    assert all(n <= n_full for n in walk[2::2])
+    assert all(n < n_full for n in walk[1::2])
 
     # with every main basis at full order, the short validation bases give
     # the records of full-order validation bit for bit
@@ -570,15 +616,16 @@ def test_main_order_forced_full_matches_default(bundled_problem, monkeypatch, na
     problem = bundled_problem("trivial") if name == "trivial" else three_piece_problem()
     n_full = problem.solver.n_terms
 
-    records, orders = _sweep_with_orders(problem, monkeypatch)
-    assert any(n < n_full for n in orders[2::2])  # some main basis is short
+    rebuilt = []
+    records, orders = _sweep_with_orders(problem, monkeypatch, rebuilt=rebuilt)
+    grown = _grown_from(orders, rebuilt, 0)
+    assert grown[-1] < n_full  # the first main basis stops short of full order
+    walk = orders[len(grown) - 1 :]
+    assert any(n < n_full for n in walk[2::2])  # and so does some later one
     monkeypatch.setattr(spectral_module, "_main_order", _full_order)
     reference, ref_orders = _sweep_with_orders(problem, monkeypatch)
     assert all(n == n_full for n in ref_orders[0::2])
-    assert len(records) == len(reference)
-    for rec, ref in zip(records, reference):
-        assert abs(rec.lam - ref.lam) <= 1e-12 * abs(ref.lam)
-        assert abs(rec.center_used - ref.center_used) <= 1e-12 * max(1.0, abs(ref.center_used))
+    _assert_close_records(records, reference)
 
 
 @pytest.mark.parametrize("n_main", [1, 3])
@@ -589,14 +636,93 @@ def test_short_main_basis_rebuilt_at_full_order(bundled_problem, monkeypatch, na
 
     monkeypatch.setattr(spectral_module, "_main_order", _full_order)
     reference, _ = _sweep_with_orders(problem, monkeypatch)
-    # a main basis this short still counts at every candidate: it is rebuilt
-    # at full order before any candidate of it is validated
-    monkeypatch.setattr(spectral_module, "_main_order", lambda phi, config, lam: n_main)
-    alive_orders = []
-    forced, forced_orders = _sweep_with_orders(problem, monkeypatch, alive_orders)
+    # a later main basis this short still counts at every candidate (order 3)
+    # or has only the found root and stalls (order 1): before any candidate of
+    # it is validated it is grown, doubling its order, or rebuilt at full order
+    monkeypatch.setattr(
+        spectral_module,
+        "_main_order",
+        lambda phi, config, lam: n_full if phi is None else n_main,
+    )
+    alive_orders, rebuilt = [], []
+    forced, forced_orders = _sweep_with_orders(problem, monkeypatch, alive_orders, rebuilt)
     shorts = [i for i, n in enumerate(forced_orders) if n == n_main]
     assert len(shorts) == len(forced) - 1
-    assert all(forced_orders[i + 1] == n_full for i in shorts)
-    # the short basis is freed before its rebuild
-    assert all(alive_orders[i + 1] == [] for i in shorts)
-    _assert_same_records(forced, reference)
+    final_orders = []
+    for i in shorts:
+        grown = _grown_from(forced_orders, rebuilt, i)
+        assert len(grown) > 1
+        assert all(new in (min(n_full, 2 * old), n_full) for old, new in zip(grown, grown[1:]))
+        # the short basis is freed before its rebuild
+        assert all(alive_orders[j] == [] for j in range(i + 1, i + len(grown)))
+        final_orders.append(grown[-1])
+    if n_main == 1:
+        assert set(final_orders) == {n_full}  # every one stalled
+    _assert_close_records(forced, reference)
+    # a grown basis is the basis built at its final order: a sweep that builds
+    # each later main basis at that order directly gives the same records
+    final = iter(final_orders)
+    monkeypatch.setattr(
+        spectral_module,
+        "_main_order",
+        lambda phi, config, lam: n_full if phi is None else next(final),
+    )
+    direct, _ = _sweep_with_orders(problem, monkeypatch)
+    _assert_same_records(forced, direct)
+
+
+def test_first_main_basis_grows_by_doubling(bundled_problem, monkeypatch):
+    # the start basis of trivial (N = 25) is built at 2 + _MAIN_MARGIN terms
+    # and doubled while its nearest candidate reads its last coefficient
+    alive_orders, rebuilt = [], []
+    _, orders = _sweep_with_orders(bundled_problem("trivial"), monkeypatch, alive_orders, rebuilt)
+    assert _grown_from(orders, rebuilt, 0) == [6, 12, 24]
+    assert alive_orders[:3] == [[], [], []]
+
+    problem = bundled_problem("example4")
+    assert problem.solver.n_terms == 40
+    records, orders = _sweep_with_orders(problem, monkeypatch)
+    assert len(records) == problem.solver.max_eigenvalues
+    assert 40 not in orders
+
+
+@pytest.mark.parametrize("name", ["trivial", "three_pieces"])
+def test_first_main_order_forced_full_matches_default(bundled_problem, monkeypatch, name):
+    problem = bundled_problem("trivial") if name == "trivial" else three_piece_problem()
+    n_full = problem.solver.n_terms
+
+    records, orders = _sweep_with_orders(problem, monkeypatch)
+    monkeypatch.setattr(spectral_module, "_main_order", _first_main_order(n_full))
+    reference, ref_orders = _sweep_with_orders(problem, monkeypatch)
+    assert orders[0] < n_full == ref_orders[0]
+    _assert_close_records(records, reference)
+
+
+@pytest.mark.parametrize("n_first", [0, 1])
+@pytest.mark.parametrize("name", ["trivial", "three_pieces", "step"])
+def test_short_first_main_basis_grows(bundled_problem, monkeypatch, name, n_first):
+    problem = {
+        "trivial": lambda: bundled_problem("trivial"),
+        "three_pieces": three_piece_problem,
+        # lambda-dependent conditions give an order-0 basis roots to grow from
+        "step": step_potential_problem,
+    }[name]()
+    n_full = problem.solver.n_terms
+
+    monkeypatch.setattr(spectral_module, "_main_order", _first_main_order(n_full))
+    reference, _ = _sweep_with_orders(problem, monkeypatch)
+    monkeypatch.setattr(spectral_module, "_main_order", _first_main_order(n_first))
+    alive_orders, rebuilt = [], []
+    records, orders = _sweep_with_orders(problem, monkeypatch, alive_orders, rebuilt)
+    grown = _grown_from(orders, rebuilt, 0)
+    assert grown[0] == n_first
+    assert len(grown) > 1
+    assert all(old < new for old, new in zip(grown, grown[1:]))
+    assert grown[-1] <= n_full
+    # each short basis is freed before its rebuild
+    assert alive_orders[: len(grown)] == [[]] * len(grown)
+    _assert_close_records(records, reference)
+    # the grown basis is the one built at its final order directly
+    monkeypatch.setattr(spectral_module, "_main_order", _first_main_order(grown[-1]))
+    direct, _ = _sweep_with_orders(problem, monkeypatch)
+    _assert_same_records(records, direct)
