@@ -25,6 +25,7 @@ from .mesh import (
 )
 from .powers import compute_formal_powers
 from .problems import (
+    BoundaryCondition,
     ParticularPiece,
     Problem,
     SolverConfig,
@@ -35,7 +36,6 @@ from .problems import (
 )
 from .quadrature import indefinite_integral
 from .spectral import (
-    BoundaryCondition,
     EigenvalueRecord,
     assemble_characteristic,
     characteristic_at,

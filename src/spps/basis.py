@@ -116,7 +116,7 @@ def particular_residual(samples, ps):
 
 def verify_particular(samples, ps):
     residual, scale = particular_residual(samples, ps)
-    if residual > RESIDUAL_TOL_FACTOR * scale + 1e-300:
+    if not residual <= RESIDUAL_TOL_FACTOR * scale + 1e-300:  # also catches NaN
         raise ParticularResidualError(
             f"particular solution residual {residual:.3e} exceeds "
             f"{RESIDUAL_TOL_FACTOR:.0e} * scale (scale={scale:.3e}, center={ps.lambda_star})"
@@ -154,7 +154,7 @@ def particular_from_samples(samples, f, pf_prime):
         pf_prime=SampledFunction(mesh, pv),
         lambda_star=0j,
     )
-    if ps.min_abs <= EPS_F_FACTOR * float(np.abs(fv).max()):
+    if not ps.min_abs > EPS_F_FACTOR * float(np.abs(fv).max()):  # also catches NaN
         k = int(np.argmin(np.abs(fv)))
         raise NonvanishingError(
             f"particular solution nearly vanishes at x={mesh.xs[k]} (|f|={ps.min_abs:.3e})"
@@ -208,7 +208,7 @@ def _seed_at_order(samples, n_terms):
     for c1, c2 in _SEED_COMBINATIONS:
         fv = c1 * y1 + c2 * y2
         max_abs = float(np.abs(fv).max())
-        if float(np.abs(fv).min()) <= EPS_F_FACTOR * max_abs:
+        if not float(np.abs(fv).min()) > EPS_F_FACTOR * max_abs:  # also catches NaN
             continue
         ps = ParticularSolution(
             f=SampledFunction(mesh, fv),
@@ -343,7 +343,7 @@ def shift_basis(basis, new_center, n_terms=None):
         if ratio > best_ratio:
             best_ratio = ratio
             best = (c1, c2, fv)
-    if best is None or best_ratio <= EPS_F_FACTOR:
+    if not best_ratio > EPS_F_FACTOR:  # also when no combination was usable
         raise ShiftFailureError(
             f"no combination yields a nonvanishing solution at center {new_center} "
             f"(best min/max ratio {best_ratio:.2e}); try a smaller displacement"

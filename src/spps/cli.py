@@ -24,6 +24,7 @@ from .basis import build_basis
 from .errors import InputError, SolverError
 from .mesh import subinterval_counts
 from .problems import (
+    POLICIES,
     format_complex,
     load_problem,
     load_reference,
@@ -32,13 +33,7 @@ from .problems import (
     prepare,
     with_overrides,
 )
-from .spectral import (
-    POLICIES,
-    characteristic_at,
-    count_zeros,
-    landscape_of,
-    sweep_eigenvalues,
-)
+from .spectral import characteristic_at, count_zeros, landscape_of, sweep_eigenvalues
 
 EXIT_OK = 0
 EXIT_INPUT = 2

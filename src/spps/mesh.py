@@ -234,6 +234,7 @@ def sample_piecewise(exprs, mesh):
     """Sample one expression per piece on the expanded grid.
 
     Breakpoint slots get their value from the piece that owns the side.
+    Every sample must be finite.
     """
     if len(exprs) != len(mesh.piece_bounds):
         raise ValueError(
@@ -242,13 +243,19 @@ def sample_piecewise(exprs, mesh):
     out = np.empty(mesh.n_slots, dtype=np.complex128)
     for i, expr in enumerate(exprs):
         sl = mesh.piece_slice(i)
+        lo, hi = mesh.piece_bounds[i]
         try:
             out[sl] = expressions.evaluate(expr, mesh.xs[sl].astype(float))
         except EvaluationError as exc:
-            lo, hi = mesh.piece_bounds[i]
             raise CoefficientError(
                 f"cannot sample {expressions.to_string(expr)!r} on piece [{lo}, {hi}]: {exc}"
             ) from exc
+        finite = np.isfinite(out[sl])
+        if not finite.all():
+            raise CoefficientError(
+                f"{expressions.to_string(expr)!r} is not finite at "
+                f"x={mesh.xs[sl][np.argmin(finite)]} on piece [{lo}, {hi}]"
+            )
     return SampledFunction(mesh, out)
 
 

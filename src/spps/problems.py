@@ -1,4 +1,4 @@
-"""Problem definitions and the problem-file format.
+"""Problem input: the problem model, boundary conditions included, and the file formats.
 
 A problem file is line-oriented text with ``[section]`` headers and
 ``key = value`` lines.  ``#`` starts a comment, blank lines are ignored,
@@ -17,7 +17,7 @@ expression grammar; scalars accept the complex literal form ``a+bi``.
     q = "-1"
     r = "1"
     f = "cos(x)"             # optional particular solution (all pieces or none)
-    f_prime = "-sin(x)"      # or pf_prime = "..."
+    f_prime = "-sin(x)"      # or pf_prime = "..."; pieces may mix the two
 
     [bc_left]                # lambda-polynomial boundary condition
     alpha = 0, 1             # coefficients, lowest degree first
@@ -55,9 +55,9 @@ from . import expressions
 from .basis import build_seed_solution, particular_from_samples
 from .errors import ExpressionError, MeshError, ProblemFormatError
 from .mesh import Interval, Piece, ProblemSamples, build_mesh, sample_coefficients, sample_piecewise
-from .spectral import POLICIES, BoundaryCondition
 
 __all__ = [
+    "BoundaryCondition",
     "SolverConfig",
     "ParticularPiece",
     "Problem",
@@ -77,6 +77,48 @@ __all__ = [
 
 # the most complex128 samples one numpy array can hold: its byte size is an np.intp
 _MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
+
+POLICIES = ("always_previous", "previous_if_upper_half", "fixed_center")
+
+
+@dataclass(frozen=True, eq=False)
+class BoundaryCondition:
+    """alpha(lambda) * u + beta(lambda) * derivative = 0 at one endpoint.
+
+    ``alpha`` and ``beta`` are polynomial coefficient arrays in lambda,
+    lowest degree first.  ``derivative_form`` selects whether beta
+    multiplies u' or the quasi-derivative p*u'.
+    """
+
+    endpoint: str  # "left" | "right"
+    alpha: np.ndarray
+    beta: np.ndarray
+    derivative_form: str = "u_prime"
+
+    def __post_init__(self):
+        if self.endpoint not in ("left", "right"):
+            raise ProblemFormatError(f"endpoint must be 'left' or 'right', got {self.endpoint!r}")
+        if self.derivative_form not in ("u_prime", "p_u_prime"):
+            raise ProblemFormatError(f"unknown derivative_form {self.derivative_form!r}")
+        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=np.complex128))
+        beta = np.atleast_1d(np.asarray(self.beta, dtype=np.complex128))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        alpha.flags.writeable = False
+        beta.flags.writeable = False
+        if not (np.any(alpha != 0) or np.any(beta != 0)):
+            raise ProblemFormatError("alpha and beta cannot both be identically zero")
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            raise ProblemFormatError("alpha and beta must be finite")
+
+    @property
+    def degree(self):
+        return max(_poly_degree(self.alpha), _poly_degree(self.beta))
+
+
+def _poly_degree(coeffs):
+    nz = np.flatnonzero(coeffs != 0)
+    return int(nz[-1]) if nz.size else 0
 
 
 @dataclass(frozen=True)
@@ -183,10 +225,7 @@ def _parse_count(text, what):
 def _split_sections(text):
     sections = []
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, raw in _content_lines(text):
         if line.startswith("[") and line.endswith("]"):
             current = (line[1:-1].strip().lower(), [])
             sections.append(current)
@@ -281,14 +320,13 @@ def parse_problem(text):
             if name in bcs:
                 raise ProblemFormatError(f"duplicate [{name}] section")
             data = _section(name, items, ("alpha", "beta"), ("derivative",))
+            alpha = _coeff_list(data["alpha"], f"{name} alpha")
+            beta = _coeff_list(data["beta"], f"{name} beta")
             try:
                 bcs[name] = BoundaryCondition(
-                    endpoint=name.removeprefix("bc_"),
-                    alpha=_coeff_list(data["alpha"], f"{name} alpha"),
-                    beta=_coeff_list(data["beta"], f"{name} beta"),
-                    derivative_form=data.get("derivative", "u_prime"),
+                    name.removeprefix("bc_"), alpha, beta, data.get("derivative", "u_prime")
                 )
-            except ValueError as exc:
+            except ProblemFormatError as exc:
                 raise ProblemFormatError(f"[{name}]: {exc}") from exc
         elif name == "solver":
             data = _section(name, items, (), _SOLVER_KEYS)
@@ -302,25 +340,33 @@ def parse_problem(text):
     if any(have_particular) and not all(have_particular):
         raise ProblemFormatError("particular solution must cover all pieces or none")
 
-    try:
-        return Problem(
-            interval=interval,
-            pieces=tuple(pieces),
-            bc_left=bcs["bc_left"],
-            bc_right=bcs["bc_right"],
-            particular=tuple(particulars) if all(have_particular) else None,
-            solver=SolverConfig(**solver_kwargs),
-        )
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
+    return Problem(
+        interval=interval,
+        pieces=tuple(pieces),
+        bc_left=bcs["bc_left"],
+        bc_right=bcs["bc_right"],
+        particular=tuple(particulars) if all(have_particular) else None,
+        solver=SolverConfig(**solver_kwargs),
+    )
 
 
 def load_problem(path):
+    return parse_problem(_read_text(path))
+
+
+def _read_text(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
-    return parse_problem(text)
+
+
+def _content_lines(text):
+    """(line number, text before any ``#``, stripped; raw line) of each nonblank line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, raw
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +385,12 @@ def particular_for(problem, samples):
     """The user-supplied particular solution sampled on the mesh, or None."""
     if problem.particular is None:
         return None
-    mesh = samples.mesh
-    f = sample_piecewise([pp.f for pp in problem.particular], mesh)
-    if all(pp.pf_prime is not None for pp in problem.particular):
-        pf = sample_piecewise([pp.pf_prime for pp in problem.particular], mesh)
-    else:
-        fprime = sample_piecewise([pp.f_prime for pp in problem.particular], mesh)
-        pf = type(f)(mesh, samples.p.values * fprime.values)
-    return particular_from_samples(samples, f, pf)
+    pf_prime = [
+        pp.pf_prime if pp.pf_prime is not None else expressions.Bin("*", piece.p, pp.f_prime)
+        for piece, pp in zip(problem.pieces, problem.particular)
+    ]
+    f = sample_piecewise([pp.f for pp in problem.particular], samples.mesh)
+    return particular_from_samples(samples, f, sample_piecewise(pf_prime, samples.mesh))
 
 
 def prepare(problem, config=None, particular=None):
@@ -391,14 +435,7 @@ def fixture_path(name):
 def load_reference(path):
     """Rows (n, value, tolerance) from a reference table file."""
     rows = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, raw in _content_lines(_read_text(path)):
         parts = [tok.strip() for tok in line.split(",")]
         if len(parts) != 3:
             raise ProblemFormatError(

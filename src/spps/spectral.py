@@ -28,6 +28,7 @@ validated; when it stalls, at full order.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import cmp_to_key
@@ -45,9 +46,9 @@ from .errors import (
     SolverError,
     SweepStalledError,
 )
+from .problems import _MAX_SAMPLES, prepare
 
 __all__ = [
-    "BoundaryCondition",
     "CharacteristicPolynomial",
     "EigenvalueRecord",
     "assemble_characteristic",
@@ -58,8 +59,6 @@ __all__ = [
     "landscape_of",
     "is_real_problem",
 ]
-
-POLICIES = ("always_previous", "previous_if_upper_half", "fixed_center")
 
 # coefficients below this (relative to the largest) add nothing inside the
 # trust region; used for the trust-radius estimate
@@ -75,39 +74,6 @@ DEDUPE_FACTOR = 1e-6
 _MAIN_MARGIN = 4
 LANDSCAPE_CAP = 308.0
 MAX_CONTOUR_SAMPLES = 2**18
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryCondition:
-    """alpha(lambda) * u + beta(lambda) * derivative = 0 at one endpoint.
-
-    ``alpha`` and ``beta`` are polynomial coefficient arrays in lambda,
-    lowest degree first.  ``derivative_form`` selects whether beta
-    multiplies u' or the quasi-derivative p*u'.
-    """
-
-    endpoint: str  # "left" | "right"
-    alpha: np.ndarray
-    beta: np.ndarray
-    derivative_form: str = "u_prime"
-
-    def __post_init__(self):
-        if self.endpoint not in ("left", "right"):
-            raise ValueError(f"endpoint must be 'left' or 'right', got {self.endpoint!r}")
-        if self.derivative_form not in ("u_prime", "p_u_prime"):
-            raise ValueError(f"unknown derivative_form {self.derivative_form!r}")
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=np.complex128))
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=np.complex128))
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        alpha.flags.writeable = False
-        beta.flags.writeable = False
-        if not (np.any(alpha != 0) or np.any(beta != 0)):
-            raise ValueError("alpha and beta cannot both be identically zero")
-
-    @property
-    def degree(self):
-        return max(_poly_degree(self.alpha), _poly_degree(self.beta))
 
 
 @dataclass(frozen=True)
@@ -151,11 +117,6 @@ class EigenvalueRecord:
     center_used: complex
     validation_residual: float
     tail_indicator: float
-
-
-def _poly_degree(coeffs):
-    nz = np.flatnonzero(coeffs != 0)
-    return int(nz[-1]) if nz.size else 0
 
 
 def _recenter_poly(coeffs, center):
@@ -255,6 +216,8 @@ def roots_of(phi):
     """
     if phi.scale == 0.0:
         raise DegeneratePolynomialError("characteristic polynomial is identically zero")
+    if not math.isfinite(phi.scale):  # the largest |c_k| is NaN or inf if any c_k is
+        raise DegeneratePolynomialError("characteristic polynomial has non-finite coefficients")
     keep = np.flatnonzero(np.abs(phi.coeffs) >= ROOT_STRIP_FACTOR * phi.scale)
     top = int(keep[-1])
     if top == 0:
@@ -362,8 +325,6 @@ def sweep_eigenvalues(problem, config=None, particular=None):
     records are sorted by real part and reindexed; otherwise they stay in
     discovery order.
     """
-    from .problems import prepare  # local import keeps module layers acyclic
-
     config, samples, bc_left, bc_right, start = prepare(problem, config, particular)
     basis = build_basis(start, samples, _main_order(None, config, None))
 
@@ -575,11 +536,11 @@ def characteristic_at(problem, center=0.0):
     particular solution, lambda = 0) and shifts it to ``center`` when the
     two differ.
     """
-    from .problems import prepare  # local import keeps module layers acyclic
-
+    center = complex(center)
+    if not cmath.isfinite(center):
+        raise InputError(f"center must be finite, got {center}")
     config, samples, bc_left, bc_right, start = prepare(problem)
     basis = build_basis(start, samples, config.n_terms)
-    center = complex(center)
     if center != basis.center:
         basis = shift_basis(basis, center)
     return assemble_characteristic(basis, bc_left, bc_right)
@@ -593,8 +554,6 @@ def landscape_of(phi, center, radius, grid):
     and a metadata dict including the trust radius and how much of the
     grid lies beyond it.
     """
-    from .problems import _MAX_SAMPLES  # local import keeps module layers acyclic
-
     if not 0.0 < radius < math.inf:  # also catches NaN
         raise InputError(f"radius must be positive and finite, got {radius}")
     if grid < 16:

@@ -144,6 +144,53 @@ def test_solve_superscript_digit_exit_2(tmp_path):
     assert proc.stdout == ""
 
 
+def _trivial_variant(tmp_path, old, new, seeded=False):
+    """trivial.prob with the first ``old`` made ``new``; ``seeded`` drops f and f_prime."""
+    text = TRIVIAL.read_text(encoding="utf-8")
+    assert old in text
+    text = text.replace(old, new, 1)
+    if seeded:
+        text = text.replace('f = "1"\n', "").replace('f_prime = "0"\n', "")
+    path = tmp_path / "variant.prob"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "old, new, seeded, message",
+    [
+        ('q = "0"', 'q = "1e400"', False, "error: 'inf' is not finite at x=0.0 on piece [0.0, 1.0]\n"),
+        ('r = "1"', 'r = "1e400"', True, "error: 'inf' is not finite at x=0.0 on piece [0.0, 1.0]\n"),
+        ("alpha = 1", "alpha = 1e400", False, "error: [bc_left]: alpha and beta must be finite\n"),
+    ],
+    ids=["q", "seeded_r", "bc_left_alpha"],
+)
+def test_solve_nonfinite_value_exit_2(capsys, tmp_path, old, new, seeded, message):
+    code, out, err = run_cli(capsys, "solve", _trivial_variant(tmp_path, old, new, seeded))
+    assert (code, out, err) == (2, "", message)
+
+
+def test_count_nonfinite_center_exit_2(capsys):
+    code, out, err = run_cli(capsys, "count", TRIVIAL, "--radius", "5", "--center", "1e400")
+    assert (code, out, err) == (2, "", "error: center must be finite, got (inf+0j)\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_solve_overflowing_seed_exit_3(capsys, tmp_path):
+    # q is finite, but the seed series overflows to NaN: every check on it must fail
+    code, out, err = run_cli(capsys, "solve", _trivial_variant(tmp_path, 'q = "0"', 'q = "1e300"', True))
+    assert (code, out) == (3, "")
+    assert err.startswith("solver error: no stock combination yields a nonvanishing seed solution")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_solve_overflowing_polynomial_exit_3(capsys, tmp_path):
+    # 1/p = -1e300: the powers, and so the characteristic polynomial, overflow
+    code, out, err = run_cli(capsys, "solve", _trivial_variant(tmp_path, 'p = "1"', 'p = "-1e-300"'))
+    assert (code, out) == (3, "")
+    assert err == "solver error: characteristic polynomial has non-finite coefficients\n"
+
+
 @pytest.mark.parametrize("flag", ["--delta=7", "--policy=fixed_center", "--max-eigs=3", "--threshold=1e-6"])
 @pytest.mark.parametrize(
     "command",

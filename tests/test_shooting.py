@@ -8,8 +8,7 @@ import pytest
 import spps
 from spps.expressions import parse
 from spps.mesh import Interval, Piece
-from spps.problems import Problem, SolverConfig
-from spps.spectral import BoundaryCondition
+from spps.problems import BoundaryCondition, Problem, SolverConfig
 
 from shooting import refine_root, shoot
 from util import TABLE1, step_potential_problem, vanishing_weight_problem

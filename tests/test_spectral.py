@@ -15,10 +15,8 @@ from spps.errors import (
     ProblemFormatError,
     SweepStalledError,
 )
-from spps.problems import SolverConfig, prepare, with_overrides
+from spps.problems import POLICIES, BoundaryCondition, SolverConfig, prepare, with_overrides
 from spps.spectral import (
-    POLICIES,
-    BoundaryCondition,
     CharacteristicPolynomial,
     EigenvalueRecord,
     _main_order,
@@ -53,12 +51,14 @@ def step_setup():
 
 
 def test_bc_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         BoundaryCondition("left", [0], [0])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         BoundaryCondition("middle", [1], [0])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         BoundaryCondition("left", [1], [0], "du")
+    with pytest.raises(InputError, match="finite"):
+        BoundaryCondition("left", [1], [math.nan])
     bc = BoundaryCondition("left", [0, 1], [1])
     assert bc.degree == 1
 
@@ -194,6 +194,15 @@ def test_degenerate_polynomial_rejected():
     phi = CharacteristicPolynomial(np.zeros(5, dtype=complex), 0.0)
     with pytest.raises(DegeneratePolynomialError):
         roots_of(phi)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", [0, 2])
+def test_nonfinite_polynomial_rejected(bad, where):
+    coeffs = np.array([1.0, -2.0, 1.0], dtype=complex)
+    coeffs[where] = bad
+    with pytest.raises(DegeneratePolynomialError, match="non-finite"):
+        roots_of(CharacteristicPolynomial(coeffs, 0.0))
 
 
 def test_constant_polynomial_has_no_roots():

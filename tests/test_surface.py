@@ -1,5 +1,7 @@
-"""The package's top-level names and the README's library quick start."""
+"""The package's top-level names, its module layers and the README's library quick start."""
 
+import ast
+import graphlib
 import os
 import re
 import subprocess
@@ -40,3 +42,31 @@ def test_readme_quick_start_runs():
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
     assert [row.split()[0] for row in rows] == ["0", "1", "2", "3", "4", "5"]
+
+
+def test_module_imports_are_layered():
+    """No relative import inside a function, and the module imports form no cycle."""
+    package = ROOT / "src" / "spps"
+    modules = {path.stem for path in package.glob("*.py")}
+    assert {"problems", "spectral"} <= modules
+    graph, nested = {}, []
+    for name in sorted(modules):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        in_functions = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for node in ast.walk(fn)
+        }
+        graph[name] = set()
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            if id(node) in in_functions:
+                nested.append(f"{name}.py:{node.lineno}")
+                continue
+            # ``from . import x`` names a module or something of the package's own
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            graph[name] |= {t if t in modules else "__init__" for t in targets}
+    assert nested == []
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle

@@ -20,9 +20,8 @@ from spps.mesh import (
     sample_coefficients,
 )
 from spps.powers import _growth_bounds
-from spps.problems import ParticularPiece, Problem, SolverConfig
+from spps.problems import BoundaryCondition, ParticularPiece, Problem, SolverConfig
 from spps.quadrature import indefinite_integral, l1_norm
-from spps.spectral import BoundaryCondition
 
 
 def step_potential_problem(n_terms=40, m=2000, max_eigs=5, with_particular=True,
