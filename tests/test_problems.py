@@ -127,6 +127,16 @@ def test_particular_requires_exactly_one_derivative():
         parse_problem(orphan)
 
 
+def _hexed(records):
+    """Every field of every record, floats as float.hex."""
+    return [
+        (r.index, *(float.hex(x) for x in (r.lam.real, r.lam.imag, r.center_used.real,
+                                           r.center_used.imag, r.validation_residual,
+                                           r.tail_indicator)))
+        for r in records
+    ]
+
+
 def test_pieces_may_mix_f_prime_and_pf_prime(sweep_cache):
     # example1's second piece has p = -1, so pf' = -f' there
     text = fixture_path("example1.prob").read_text(encoding="utf-8")
@@ -136,16 +146,6 @@ def test_pieces_may_mix_f_prime_and_pf_prime(sweep_cache):
     assert mixed.particular[0].f_prime is not None and mixed.particular[1].pf_prime is not None
     records, _ = sweep_cache("example1")
     assert _hexed(sweep_eigenvalues(mixed)) == _hexed(records)
-
-
-def _hexed(records):
-    """Every field of every record, floats as float.hex."""
-    return [
-        (r.index, *(float.hex(x) for x in (r.lam.real, r.lam.imag, r.center_used.real,
-                                           r.center_used.imag, r.validation_residual,
-                                           r.tail_indicator)))
-        for r in records
-    ]
 
 
 def test_both_bc_polynomials_zero_rejected():
