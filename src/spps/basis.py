@@ -21,7 +21,7 @@ combination, and rebuilds the powers on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .errors import (
     SeedFailureError,
     ShiftFailureError,
 )
-from .mesh import ProblemSamples, SampledFunction, constant_function
-from .powers import FormalPowerSet, _growth_bounds, compute_formal_powers
+from .mesh import SampledFunction, constant_function
+from .powers import _growth_bounds, compute_formal_powers
 from .quadrature import indefinite_integral, l1_norm
 
 __all__ = [
@@ -77,18 +77,24 @@ class ParticularSolution:
         return float(np.abs(self.f.values).min())
 
 
-@dataclass(frozen=True)
 class SppsBasis:
     """Formal powers on a particular solution, centred at its lambda*.
 
-    ``shift_tail`` is the truncation tail of the basis this one was shifted
-    from, evaluated at the new center (0.0 for a basis built directly).
+    A handle: the particular solution, the samples and the order ``n_terms``
+    stay for its life, while the power rows may be released (``release``).
+    Released rows are rebuilt on the same particular solution at the same
+    order when next read; the build is deterministic, so they come back bit
+    for bit.  ``shift_tail`` is the truncation tail of the basis this one
+    was shifted from, evaluated at the new center (0.0 for a basis built
+    directly).
     """
 
-    particular: ParticularSolution
-    powers: FormalPowerSet
-    samples: ProblemSamples
-    shift_tail: float = 0.0
+    def __init__(self, particular, powers, samples):
+        self.particular = particular
+        self.samples = samples
+        self.n_terms = powers.n_terms
+        self.shift_tail = 0.0
+        self._powers = powers
 
     @property
     def center(self):
@@ -96,9 +102,17 @@ class SppsBasis:
         return self.particular.lambda_star
 
     @property
-    def n_terms(self):
-        """N: the truncation order of the powers."""
-        return self.powers.n_terms
+    def powers(self):
+        """The power rows, rebuilt first if they were released."""
+        if self._powers is None:
+            self._powers = compute_formal_powers(
+                self.particular.f, self.samples.p, self.samples.r, self.n_terms
+            )
+        return self._powers
+
+    def release(self):
+        """Free the power rows; the next read of ``powers`` rebuilds them."""
+        self._powers = None
 
 
 def particular_residual(samples, ps):
@@ -311,18 +325,20 @@ def shift_basis(basis, new_center, n_terms=None):
     """Recentre the basis at ``new_center``, rebuilt with ``n_terms`` powers.
 
     Evaluates both solutions there, picks the combination c1*u1 + c2*u2
-    maximising min|f*|/max|f*|, and rebuilds the powers on it;
-    ``build_basis`` verifies the recentred particular solution.  ``n_terms``
-    defaults to the basis's own order.  A shorter basis whose tail at
-    ``new_center`` exceeds EXACT_TAIL is first rebuilt at ``n_terms`` on its
-    particular solution, so the evaluation is the one a basis of full order
-    gives.  The returned basis carries the series tail at ``new_center`` as
-    ``shift_tail``.
+    maximising min|f*|/max|f*|, releases the rows of ``basis`` and only then
+    rebuilds the powers on that combination, so one power set is alive at a
+    time; ``build_basis`` verifies the recentred particular solution.
+    ``n_terms`` defaults to the basis's own order.  A shorter basis whose
+    tail at ``new_center`` exceeds EXACT_TAIL has its rows released and is
+    rebuilt at ``n_terms`` on its particular solution, so the evaluation is
+    the one a basis of full order gives.  The returned basis carries the
+    series tail at ``new_center`` as ``shift_tail``.
     """
     new_center = complex(new_center)
     n_terms = basis.n_terms if n_terms is None else n_terms
     u1, pu1, u2, pu2, tail = _evaluate_both(basis, new_center)
     if basis.n_terms < n_terms and tail > EXACT_TAIL:
+        basis.release()
         basis = build_basis(basis.particular, basis.samples, n_terms)
         u1, pu1, u2, pu2, tail = _evaluate_both(basis, new_center)
     if tail > TRUST_TAIL_LIMIT:
@@ -357,6 +373,7 @@ def shift_basis(basis, new_center, n_terms=None):
         pf_prime=SampledFunction(mesh, pfv),
         lambda_star=new_center,
     )
+    basis.release()
     try:
         shifted = build_basis(ps, basis.samples, n_terms)
     except ParticularResidualError as exc:
@@ -366,4 +383,5 @@ def shift_basis(basis, new_center, n_terms=None):
             f"shift from {basis.center} to {new_center} lost accuracy: {exc}; "
             "use a smaller displacement, more series terms, or a finer mesh"
         ) from exc
-    return replace(shifted, shift_tail=tail)
+    shifted.shift_tail = tail
+    return shifted

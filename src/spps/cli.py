@@ -165,9 +165,10 @@ def cmd_powers(args):
     n_max = 2 * problem.solver.n_terms + 1
     if not 0 <= args.n <= n_max:
         raise InputError(f"power index must be in 0..{n_max}")
-    config, samples, _, _, particular = prepare(problem, None, None)
-    fp = build_basis(particular, samples, config.n_terms).powers
+    _, samples, _, _, particular = prepare(problem, None, None)
     slot = samples.mesh.slot_of(args.at)
+    # row n is the same in every set of order n // 2 or more (2N+1 >= n)
+    fp = build_basis(particular, samples, args.n // 2).powers
     x = samples.mesh.xs[slot]
     sys.stdout.write(
         f"x={_fmt(x)} tilde_{args.n}={format_complex(fp.tilde[args.n][slot])} "

@@ -79,9 +79,10 @@ def compute_formal_powers(f, p, r, n_terms):
     weight_p = 1.0 / (p.values * f2)
 
     n_max = 2 * n_terms + 1
-    shape = (n_max + 1, mesh.n_slots)
-    tilde = np.empty(shape, dtype=np.complex128)
-    plain = np.empty(shape, dtype=np.complex128)
+    # one block for both families: glibc maps a block this large on its own
+    # and returns it to the OS when freed, where two halves of 32 MiB or
+    # less would come from the heap and stay resident
+    tilde, plain = np.empty((2, n_max + 1, mesh.n_slots), dtype=np.complex128)
     tilde[0] = 1.0
     plain[0] = 1.0
     # each integral is written straight into its row; the product row and

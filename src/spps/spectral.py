@@ -24,6 +24,11 @@ first, with no predecessor, at two terms plus the margin.  Where its last
 coefficient still counts at the nearest new candidate, it is rebuilt at
 twice its order (capped at full order) before that candidate is
 validated; when it stalls, at full order.
+
+One power set is alive at a time: every shift and rebuild frees the rows
+it starts from before it builds.  A main basis is rebuilt on its particular
+solution, at its order, when it is read again: after a candidate fails
+validation, and under ``fixed_center`` once per eigenvalue.
 """
 
 from __future__ import annotations
@@ -358,17 +363,15 @@ def sweep_eigenvalues(problem, config=None, particular=None):
         next_center = _next_center(config, found, basis.center)
         n_main = _main_order(phi, config, lam)
         if next_center == vbasis.center:
-            basis = vbasis  # the old basis is freed before the rebuild
-            basis = _full_order(basis, n_main)
+            basis = _full_order(vbasis, n_main)
         elif config.policy != "fixed_center":
             # Re-expand even when next_center is only ~1e-12 from the
             # validation center (delta = 0, after refinement): the rebuild
             # re-picks the best-conditioned f in the new frame.  Reusing the
             # validation basis instead stalled more sweeps on small
             # piecewise-constant problems and moved eigenvalues by up to 9e-12.
-            basis = vbasis  # the old basis is freed before the build
             try:
-                basis = shift_basis(basis, next_center, n_terms=n_main)
+                basis = shift_basis(vbasis, next_center, n_terms=n_main)
             except ShiftFailureError:
                 break  # cannot continue the walk; report what was found
 
@@ -488,11 +491,16 @@ def _main_order(phi, config, lam):
 
 
 def _full_order(basis, n_terms):
-    """``basis`` itself, or rebuilt at ``n_terms`` on its particular solution."""
+    """``basis`` itself, or rebuilt at ``n_terms`` on its particular solution.
+
+    The short rows are released before the rebuild.
+    """
     if basis.n_terms >= n_terms:
         return basis
+    basis.release()
     full = build_basis(basis.particular, basis.samples, n_terms)
-    return replace(full, shift_tail=basis.shift_tail)
+    full.shift_tail = basis.shift_tail
+    return full
 
 
 def _next_center(config, found, current):

@@ -273,6 +273,50 @@ def test_powers_cross_checked_against_closed_form(capsys):
     assert value == pytest.approx(expect, rel=1e-9)
 
 
+def _recorded_power_orders(monkeypatch):
+    """The n_terms of every compute_formal_powers call, in order."""
+    import spps.basis
+
+    orders = []
+    original = spps.basis.compute_formal_powers
+
+    def recording(f, p, r, n_terms):
+        orders.append(n_terms)
+        return original(f, p, r, n_terms)
+
+    monkeypatch.setattr(spps.basis, "compute_formal_powers", recording)
+    return orders
+
+
+@pytest.mark.parametrize("n", [0, 3, 4, 51])
+def test_powers_builds_only_the_rows_it_prints(capsys, monkeypatch, n):
+    # trivial.prob supplies f, so nothing is built for a seed
+    orders = _recorded_power_orders(monkeypatch)
+    code, _, _ = run_cli(capsys, "powers", TRIVIAL, "--n", n, "--at", "0.5")
+    assert code == 0
+    assert orders == [n // 2]
+
+
+def test_powers_output_unchanged_by_the_short_build(capsys, monkeypatch):
+    # the bytes the full set (N = 90) printed, from a set of 3 // 2 = 1 term
+    orders = _recorded_power_orders(monkeypatch)
+    code, out, _ = run_cli(capsys, "powers", fixture_path("example2_complex.prob"), "--n", "3", "--at", "0.5")
+    assert code == 0
+    assert out == (
+        "x=0.5 tilde_3=2.2855820051892319+28.959121294279143i "
+        "plain_3=6.8272641321377447-2.580624338105816i\n"
+    )
+    assert orders[-1] == 1  # after the seed's own builds
+
+
+def test_powers_point_checked_before_any_build(capsys, monkeypatch):
+    orders = _recorded_power_orders(monkeypatch)
+    code, out, err = run_cli(capsys, "powers", TRIVIAL, "--n", "3", "--at", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: x=7.0 is not a mesh node\n"
+    assert orders == []
+
+
 def test_count_command(capsys):
     code, out, _ = run_cli(capsys, "count", TRIVIAL, "--center", "0", "--radius", "15")
     assert code == 0 and out.strip() == "1"

@@ -15,7 +15,15 @@ from spps.errors import (
     ProblemFormatError,
     SweepStalledError,
 )
-from spps.problems import POLICIES, BoundaryCondition, SolverConfig, prepare, with_overrides
+from spps.powers import FormalPowerSet
+from spps.problems import (
+    POLICIES,
+    BoundaryCondition,
+    SolverConfig,
+    parse_problem,
+    prepare,
+    with_overrides,
+)
 from spps.spectral import (
     CharacteristicPolynomial,
     EigenvalueRecord,
@@ -451,14 +459,10 @@ def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, mo
     config, _, _, _, start = prepare(problem)
 
     calls = {"build_basis": 0, "shift_basis": 0, "evaluate_solution": 0, "verify_particular": 0}
-    alive = []
-    most_alive_at_build = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "build_basis":
-                most_alive_at_build.append(sum(ref() is not None for ref in alive))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -467,14 +471,7 @@ def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, mo
         for module in (basis_module, spectral_module):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-
-    original_init = SppsBasis.__init__
-
-    def tracked_init(self, *args, **kwargs):
-        original_init(self, *args, **kwargs)
-        alive.append(weakref.ref(self))
-
-    monkeypatch.setattr(SppsBasis, "__init__", tracked_init)
+    power_builds = _track_power_sets(monkeypatch)
 
     records = sweep_eigenvalues(problem, config, particular=start)
     assert len(records) == 2
@@ -484,7 +481,134 @@ def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, mo
     # validation shift per eigenvalue plus the re-expansion at each refined
     # value (the last eigenvalue needs none)
     assert calls["build_basis"] == 2 * len(records) + 2
-    assert max(most_alive_at_build) <= 1
+    # every shift and rebuild frees the set it starts from before it builds
+    assert len(power_builds) == calls["build_basis"]
+    assert all(alive == 0 for _, alive, _ in power_builds)
+
+
+def _track_power_sets(monkeypatch):
+    """``(n_terms, sets alive, inside build_basis)`` for each power build.
+
+    Every ``FormalPowerSet`` is followed by a weak reference, and each call
+    of ``compute_formal_powers`` records how many are alive as it starts and
+    whether ``build_basis`` made it (else a released basis is rebuilding
+    its rows).
+    """
+    builds, alive, depth = [], [], []
+    original_init = FormalPowerSet.__init__
+    original_powers = basis_module.compute_formal_powers
+
+    def tracked_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        alive.append(weakref.ref(self))
+
+    def recording(f, p, r, n_terms):
+        builds.append((n_terms, sum(ref() is not None for ref in alive), bool(depth)))
+        return original_powers(f, p, r, n_terms)
+
+    def flagged(build):
+        def wrapper(*args, **kwargs):
+            depth.append(1)
+            try:
+                return build(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(FormalPowerSet, "__init__", tracked_init)
+    monkeypatch.setattr(basis_module, "compute_formal_powers", recording)
+    for module in (basis_module, spectral_module):
+        monkeypatch.setattr(module, "build_basis", flagged(module.build_basis))
+    return builds
+
+
+def test_characteristic_at_frees_the_source_before_the_shift(bundled_problem, monkeypatch):
+    problem = bundled_problem("trivial")
+    power_builds = _track_power_sets(monkeypatch)
+    phi = characteristic_at(problem, center=5)
+    assert phi.center == 5
+    # the start basis at full order, then the shifted one, never both alive
+    n_full = problem.solver.n_terms
+    assert power_builds == [(n_full, 0, True), (n_full, 0, True)]
+
+
+# scan_small seed 2, case scan27 (perfbench/workloads.py): the validation of
+# the candidate near 44.51 from the main basis at 22.68 (order 31) fails
+SCAN27 = """\
+[interval]
+a = -1
+b = 1
+
+[piece]
+from = -1.0
+to = -0.291381
+p = "-1.257"
+q = "-4.1086"
+r = "0.5615"
+
+[piece]
+from = -0.291381
+to = 0.580115
+p = "-1.9244"
+q = "0.613"
+r = "1.2839"
+
+[piece]
+from = 0.580115
+to = 1.0
+p = "-0.5919"
+q = "-3.8809"
+r = "1.5131"
+
+[bc_left]
+alpha = 0.0
+beta = 1.0
+derivative = p_u_prime
+
+[bc_right]
+alpha = 0.0
+beta = 1.0
+derivative = p_u_prime
+
+[solver]
+max_eigenvalues = 6
+"""
+# float.hex of (lam, center_used, validation_residual, tail_indicator), as
+# computed while the main basis stayed alive through its validations
+SCAN27_RECORDS = [
+    ("-0x1.81abe85a5b245p+1", "-0x1.04d9117f86e49p-45", "0x1.411a2dbe4d26bp-3",
+     "-0x1.623403cf54ce4p-46", "0x1.365ea69cf0cddp-53", "0x1.ac129d192c6ccp-80"),
+    ("0x1.411a2dbe4d26bp-3", "-0x1.623403cf54ce4p-46", "0x0.0p+0",
+     "0x0.0p+0", "0x1.fe0d255acacaep-57", "0x1.305a7e1b9e7aap-91"),
+    ("0x1.04acf7bc1576dp+3", "-0x1.05fe0789e2158p-39", "-0x1.81abe85a5b245p+1",
+     "-0x1.04d9117f86e49p-45", "0x1.309f1f98813f8p-51", "0x1.3efee18ced8c9p-73"),
+    ("0x1.6ad1a68f05491p+4", "0x1.51c79a7da17d1p-37", "0x1.04acf7bc1576dp+3",
+     "-0x1.05fe0789e2158p-39", "0x1.731120d5ecc82p-51", "0x1.92f5fe8d2c37cp-98"),
+    ("0x1.641d4cf6160f8p+5", "0x1.f41f8220322d7p-28", "0x1.16f64df3dcc52p+6",
+     "-0x1.ad1455e3f9208p-35", "0x1.e70b9ef1b46b8p-49", "0x1.0e47b971c6dd1p-122"),
+    ("0x1.16f64df3dcc52p+6", "-0x1.ad1455e3f9208p-35", "0x1.6ad1a68f05491p+4",
+     "0x1.51c79a7da17d1p-37", "0x1.6b3d1814b29ccp-48", "0x1.5252d03d953cbp-58"),
+]
+
+
+def test_failed_validation_rebuilds_the_main_basis_alone(monkeypatch):
+    problem = parse_problem(SCAN27)
+    config, _, _, _, start = prepare(problem)
+    power_builds = _track_power_sets(monkeypatch)
+    records = sweep_eigenvalues(problem, config, particular=start)
+    # the main basis released its rows for the failed validation and
+    # rebuilds them, once, at its own order for the next candidate
+    assert [n for n, _, in_build in power_builds if not in_build] == [31]
+    assert all(alive == 0 for _, alive, _ in power_builds)
+    got = [
+        tuple(float(v).hex() for v in (
+            rec.lam.real, rec.lam.imag, rec.center_used.real, rec.center_used.imag,
+            rec.validation_residual, rec.tail_indicator,
+        ))
+        for rec in records
+    ]
+    assert got == SCAN27_RECORDS
 
 
 def test_trust_radius_monotone_in_tolerance():
