@@ -80,21 +80,25 @@ class ParticularSolution:
 class SppsBasis:
     """Formal powers on a particular solution, centred at its lambda*.
 
-    A handle: the particular solution, the samples and the order ``n_terms``
-    stay for its life, while the power rows may be released (``release``).
-    Released rows are rebuilt on the same particular solution at the same
-    order when next read; the build is deterministic, so they come back bit
-    for bit.  ``shift_tail`` is the truncation tail of the basis this one
-    was shifted from, evaluated at the new center (0.0 for a basis built
-    directly).
+    A handle: the constructor builds the power rows at order ``n_terms``
+    and does not verify the particular solution (``build_basis`` does).
+    ``release`` frees the rows, which are rebuilt at the same order, bit for
+    bit, when next read; ``grow`` raises the order.  ``shift_tail`` is the
+    truncation tail of the basis this one was shifted from, evaluated at the
+    new center (0.0 for a basis built directly).
     """
 
-    def __init__(self, particular, powers, samples):
+    def __init__(self, particular, samples, n_terms):
         self.particular = particular
         self.samples = samples
-        self.n_terms = powers.n_terms
+        self.n_terms = n_terms
         self.shift_tail = 0.0
-        self._powers = powers
+        self._build()
+
+    def _build(self):
+        self._powers = compute_formal_powers(
+            self.particular.f, self.samples.p, self.samples.r, self.n_terms
+        )
 
     @property
     def center(self):
@@ -105,14 +109,23 @@ class SppsBasis:
     def powers(self):
         """The power rows, rebuilt first if they were released."""
         if self._powers is None:
-            self._powers = compute_formal_powers(
-                self.particular.f, self.samples.p, self.samples.r, self.n_terms
-            )
+            self._build()
         return self._powers
 
     def release(self):
         """Free the power rows; the next read of ``powers`` rebuilds them."""
         self._powers = None
+
+    def grow(self, n_terms):
+        """Free the rows and build them at ``n_terms`` if that is higher.
+
+        The particular solution is not verified again; the rows equal a
+        build at ``n_terms`` bit for bit.
+        """
+        if n_terms > self.n_terms:
+            self.release()
+            self.n_terms = n_terms
+            self._build()
 
 
 def particular_residual(samples, ps):
@@ -246,10 +259,9 @@ def _seed_at_order(samples, n_terms):
 
 
 def build_basis(particular, samples, n_terms):
-    """Formal powers on weights r f^2 and 1/(p f^2), centred at lambda*."""
+    """Verify ``particular``, then build its formal powers (an SppsBasis)."""
     verify_particular(samples, particular)
-    powers = compute_formal_powers(particular.f, samples.p, samples.r, n_terms)
-    return SppsBasis(particular=particular, powers=powers, samples=samples)
+    return SppsBasis(particular, samples, n_terms)
 
 
 def _horner_rows(rows, mu, count):
@@ -328,10 +340,10 @@ def shift_basis(basis, new_center, n_terms=None):
     maximising min|f*|/max|f*|, releases the rows of ``basis`` and only then
     rebuilds the powers on that combination, so one power set is alive at a
     time; ``build_basis`` verifies the recentred particular solution.
-    ``n_terms`` defaults to the basis's own order.  A shorter basis whose
-    tail at ``new_center`` exceeds EXACT_TAIL has its rows released and is
-    rebuilt at ``n_terms`` on its particular solution, so the evaluation is
-    the one a basis of full order gives.  The returned basis carries the
+    ``n_terms`` defaults to the basis's own order.  When a shorter basis's
+    tail at ``new_center`` exceeds EXACT_TAIL, its rows are released and a
+    handle at ``n_terms`` on the same particular solution evaluates instead;
+    the caller's basis keeps its order.  The returned basis carries the
     series tail at ``new_center`` as ``shift_tail``.
     """
     new_center = complex(new_center)
@@ -339,7 +351,7 @@ def shift_basis(basis, new_center, n_terms=None):
     u1, pu1, u2, pu2, tail = _evaluate_both(basis, new_center)
     if basis.n_terms < n_terms and tail > EXACT_TAIL:
         basis.release()
-        basis = build_basis(basis.particular, basis.samples, n_terms)
+        basis = SppsBasis(basis.particular, basis.samples, n_terms)
         u1, pu1, u2, pu2, tail = _evaluate_both(basis, new_center)
     if tail > TRUST_TAIL_LIMIT:
         raise ShiftFailureError(

@@ -14,18 +14,19 @@ of that polynomial and are polished by a few Newton steps.
 The sweep walks the spectrum: find the nearest new root, validate it by
 recentring the basis there (a true eigenvalue makes the recentred
 polynomial vanish at its own center), then move the center according to
-the shift schedule and repeat.  A validation basis is built only at the
-order the current polynomial needs near its center and one step beyond;
-it is rebuilt at full order whenever that short series cannot match the
-full one.  A main basis (the one whose polynomial gives the next
-candidates) is built at the order its predecessor's polynomial needs over
-twice the distance to the eigenvalue it accepted, plus a margin; the
-first, with no predecessor, at two terms plus the margin.  Where its last
-coefficient still counts at the nearest new candidate, it is rebuilt at
-twice its order (capped at full order) before that candidate is
-validated; when it stalls, at full order.
+the shift schedule and repeat.  A basis raises its order only through
+``SppsBasis.grow``, on the particular solution it was verified with.  A
+validation basis is built at the order the current polynomial needs near
+its center and one step beyond, and grows to full order when that short
+series cannot match the full one.  A main basis (the one whose polynomial
+gives the next candidates) is built at the order its predecessor's
+polynomial needs over twice the distance to the eigenvalue it accepted,
+plus a margin; the first, with no predecessor, at two terms plus the
+margin.  Where its last coefficient still counts at the nearest new
+candidate, it grows to twice its order (capped at full order) before that
+candidate is validated; when it stalls, to full order.
 
-One power set is alive at a time: every shift and rebuild frees the rows
+One power set is alive at a time: every shift and growth frees the rows
 it starts from before it builds.  A main basis is rebuilt on its particular
 solution, at its order, when it is read again: after a candidate fails
 validation, and under ``fixed_center`` once per eigenvalue.
@@ -339,12 +340,8 @@ def sweep_eigenvalues(problem, config=None, particular=None):
         vbasis = None  # free the last validation basis before the next is built
         phi = assemble_characteristic(basis, bc_left, bc_right)
         outcome = _validate_nearest(basis, phi, found, config, bc_left, bc_right)
-        if not isinstance(outcome, tuple):
-            # an order: the short main series is cut off where the walk reads
-            # it, and is freed before the rebuild on its particular solution
-            particular, basis = basis.particular, None
-            basis = build_basis(particular, samples, outcome)
-            continue
+        if outcome is None:
+            continue  # the main basis grew: read its polynomial again
         cand, vbasis, vphi = outcome
         outcome = None  # vbasis alone holds the validation basis
         lam = _refine_in_frame(vphi, cand)
@@ -363,7 +360,8 @@ def sweep_eigenvalues(problem, config=None, particular=None):
         next_center = _next_center(config, found, basis.center)
         n_main = _main_order(phi, config, lam)
         if next_center == vbasis.center:
-            basis = _full_order(vbasis, n_main)
+            vbasis.grow(n_main)
+            basis = vbasis
         elif config.policy != "fixed_center":
             # Re-expand even when next_center is only ~1e-12 from the
             # validation center (delta = 0, after refinement): the rebuild
@@ -383,12 +381,12 @@ def sweep_eigenvalues(problem, config=None, particular=None):
 def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
     """Validate the new roots of ``phi`` nearest its center first.
 
-    Returns ``(candidate, validation basis, its polynomial)`` for the first
-    candidate that passes, or the order to rebuild ``basis`` at when it is
-    shorter than full order: twice its own (at least 1, at most full order)
-    when its last coefficient still counts at the candidate, full order
-    when it stalls.  A full-order basis that stalls raises
-    ``SweepStalledError``.
+    Returns ``(candidate, validation basis, its polynomial)`` for the
+    first candidate that passes, or None once a main ``basis`` shorter
+    than full order has grown and must be read again: to twice its order
+    (at least 1, at most full order) when its last coefficient still
+    counts at the candidate, to full order when it stalls.  A full-order
+    basis that stalls raises ``SweepStalledError``.
     """
     n_full = config.n_terms
     short = basis.n_terms < n_full
@@ -403,14 +401,15 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
             continue
         reach = abs(cand - basis.center)
         if short and reach > 0 and _counting_terms(phi, reach)[basis.n_terms]:
-            return min(n_full, max(1, 2 * basis.n_terms))
+            basis.grow(min(n_full, max(1, 2 * basis.n_terms)))
+            return None
         try:
             vbasis = shift_basis(basis, cand, n_terms=n_valid)
             vphi = assemble_characteristic(vbasis, bc_left, bc_right)
             if vbasis.n_terms < n_full and _counting_terms(vphi, 1.0)[vbasis.n_terms]:
                 # the short series is not complete: its last coefficient
                 # still counts, so the polynomial needs the full order
-                vbasis = _full_order(vbasis, n_full)
+                vbasis.grow(n_full)
                 vphi = assemble_characteristic(vbasis, bc_left, bc_right)
             residual = abs(vphi.coeffs[0]) / vphi.scale
         except SolverError:
@@ -421,15 +420,16 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
         vbasis = vphi = None  # free the failed validation basis before the next
         failures += 1
         if failures >= 3:
-            if short:
-                return n_full
-            last = "" if residual is None else f" (last residual {residual:.2e})"
-            raise SweepStalledError(
-                f"three consecutive candidates failed validation near center "
-                f"{basis.center}{last}; increase the power count or the mesh resolution"
-            )
+            break
     if short:
-        return n_full
+        basis.grow(n_full)
+        return None
+    if failures >= 3:
+        last = "" if residual is None else f" (last residual {residual:.2e})"
+        raise SweepStalledError(
+            f"three consecutive candidates failed validation near center "
+            f"{basis.center}{last}; increase the power count or the mesh resolution"
+        )
     raise SweepStalledError(
         f"no further candidate root could be validated from center {basis.center}"
     )
@@ -467,7 +467,7 @@ def _validation_order(phi, config, reach=0.0):
     next center, |delta| away.  Over R = max(1, |delta|, reach) the terms of
     ``phi`` beyond the last one above EXACT_TAIL of the largest add nothing;
     two more terms are kept as a margin.  ``shift_basis`` and the sweep
-    rebuild at full order whenever this falls short.
+    evaluate at full order whenever this falls short.
     """
     reach = max(1.0, abs(complex(config.delta)), reach)
     last = int(np.flatnonzero(_counting_terms(phi, reach))[-1])
@@ -488,19 +488,6 @@ def _main_order(phi, config, lam):
         return min(config.n_terms, 2 + _MAIN_MARGIN)
     reach = 2.0 * abs(lam - phi.center)
     return min(config.n_terms, _validation_order(phi, config, reach) + _MAIN_MARGIN)
-
-
-def _full_order(basis, n_terms):
-    """``basis`` itself, or rebuilt at ``n_terms`` on its particular solution.
-
-    The short rows are released before the rebuild.
-    """
-    if basis.n_terms >= n_terms:
-        return basis
-    basis.release()
-    full = build_basis(basis.particular, basis.samples, n_terms)
-    full.shift_tail = basis.shift_tail
-    return full
 
 
 def _next_center(config, found, current):

@@ -28,6 +28,7 @@ from util import (
     identity_shift,
     plain_problem,
     step_potential_problem,
+    track_power_sets,
     truncation_residual,
     unit_samples,
     vanishing_weight_problem,
@@ -273,7 +274,6 @@ def test_shift_beyond_trust_region_fails(unit_basis):
 
 @pytest.mark.parametrize("name", ["trivial", "example4"])
 def test_shift_from_short_basis_equals_shift_from_full(bundled_problem, monkeypatch, name):
-    from spps import basis as basis_module
     from spps.spectral import assemble_characteristic, roots_of
 
     config, samples, bcl, bcr, start = prepare(bundled_problem(name))
@@ -285,24 +285,47 @@ def test_shift_from_short_basis_equals_shift_from_full(bundled_problem, monkeypa
     full = shift_basis(basis, cand)
     assert (short.n_terms, full.n_terms) == (10, n_full)
 
-    builds = []
-    original = basis_module.build_basis
-
-    def counting(particular, samples, n_terms):
-        builds.append(n_terms)
-        return original(particular, samples, n_terms)
-
-    monkeypatch.setattr(basis_module, "build_basis", counting)
+    orders = _record_orders(monkeypatch)
     for step in (1e-12, 0.3, 3.0):
-        builds.clear()
+        orders.clear()
         from_short = shift_basis(short, cand + step, n_terms=n_full)
-        rebuilt = len(builds) == 2  # the short series could not reach: full-order rebuild first
+        # the short series could not reach: a full-order handle evaluates first
+        # (a build at 10 is the short rows read again after their release)
+        rebuilt = orders.count(n_full) == 2
         from_full = shift_basis(full, cand + step)
         assert from_short.n_terms == n_full
         assert np.array_equal(from_short.powers.tilde, from_full.powers.tilde)
         assert np.array_equal(from_short.powers.plain, from_full.powers.plain)
         assert np.array_equal(from_short.particular.f.values, from_full.particular.f.values)
         assert rebuilt == (name == "trivial" and step == 3.0)
+
+
+def test_grow_builds_the_longer_rows_alone_and_unverified(monkeypatch):
+    samples = unit_samples(200)
+    ones = constant_function(samples.mesh, 1.0)
+    ps = particular_from_samples(samples, ones, constant_function(samples.mesh, 0.0))
+    basis = shift_basis(build_basis(ps, samples, 14), 0.5, n_terms=6)
+    tail, rows = basis.shift_tail, basis.powers
+    assert tail > 0
+    for n in (6, 3):  # no higher order: nothing happens
+        basis.grow(n)
+        assert basis.n_terms == 6 and basis.powers is rows
+    del rows
+
+    verified = []
+    monkeypatch.setattr(spps.basis, "verify_particular", lambda *args: verified.append(args))
+    power_builds = track_power_sets(monkeypatch)
+    basis.grow(12)
+    # the short rows are freed before the longer ones are built, and the
+    # particular solution is not checked again
+    assert power_builds == [(12, [], "grow")]
+    assert verified == []
+    assert (basis.n_terms, basis.shift_tail) == (12, tail)
+
+    monkeypatch.undo()
+    built = build_basis(basis.particular, samples, 12)
+    assert np.array_equal(basis.powers.tilde, built.powers.tilde)
+    assert np.array_equal(basis.powers.plain, built.powers.plain)
 
 
 def test_scheduled_shift_quality_gate():

@@ -1,12 +1,11 @@
 import math
-import weakref
 
 import numpy as np
 import pytest
 
 from spps import basis as basis_module
 from spps import spectral as spectral_module
-from spps.basis import SppsBasis, build_basis, shift_basis
+from spps.basis import build_basis, shift_basis
 from spps.errors import (
     ConfigurationError,
     ContourError,
@@ -15,7 +14,6 @@ from spps.errors import (
     ProblemFormatError,
     SweepStalledError,
 )
-from spps.powers import FormalPowerSet
 from spps.problems import (
     POLICIES,
     BoundaryCondition,
@@ -44,6 +42,7 @@ from util import (
     plain_problem,
     step_potential_problem,
     three_piece_problem,
+    track_power_sets,
 )
 
 
@@ -243,6 +242,22 @@ def test_count_quadratic():
 def test_count_zero_on_contour_rejected():
     phi = CharacteristicPolynomial(np.array([-1.0, 0.0, 1.0], dtype=complex), 0.0)
     with pytest.raises(ContourError):
+        count_zeros(phi.evaluate, 0.0, 1.0)
+
+
+def test_count_rejects_non_finite_values():
+    def nan_everywhere(z):
+        return np.full(np.shape(z), np.nan, dtype=complex)
+
+    with pytest.raises(ContourError, match="not finite on the contour"):
+        count_zeros(nan_everywhere, 0.0, 1.0)
+
+
+def test_count_rejects_contour_grazing_a_zero():
+    # a root 1e-10 outside the unit circle: no sample is zero, but the
+    # estimated distance to the zero is far below 1e-6 of the radius
+    phi = CharacteristicPolynomial(np.array([-(1.0 + 1e-10), 1.0], dtype=complex), 0.0)
+    with pytest.raises(ContourError, match="passes too close to a zero"):
         count_zeros(phi.evaluate, 0.0, 1.0)
 
 
@@ -446,10 +461,18 @@ def test_sweep_step_problem_matches_reference(step_setup):
         assert abs(rec.lam - ref) <= 1e-9
 
 
-def test_sweep_stalls_with_tiny_truncation():
-    # N = 3 cannot reach the second eigenvalue of the plain problem
-    problem = with_overrides(plain_problem(n_terms=3, m=200), max_eigenvalues=3)
-    with pytest.raises(SweepStalledError):
+@pytest.mark.parametrize(
+    "n_terms, message",
+    [
+        (2, "no further candidate root could be validated"),
+        (3, "three consecutive candidates failed validation"),
+    ],
+    ids=["2", "3"],
+)
+def test_sweep_stalls_with_tiny_truncation(n_terms, message):
+    # so short a series cannot reach the second eigenvalue of the plain problem
+    problem = with_overrides(plain_problem(n_terms=n_terms, m=200), max_eigenvalues=3)
+    with pytest.raises(SweepStalledError, match=message):
         sweep_eigenvalues(problem)
 
 
@@ -471,66 +494,32 @@ def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, mo
         for module in (basis_module, spectral_module):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    power_builds = _track_power_sets(monkeypatch)
+    power_builds = track_power_sets(monkeypatch)
 
     records = sweep_eigenvalues(problem, config, particular=start)
     assert len(records) == 2
     assert calls["verify_particular"] == calls["build_basis"]
     assert calls["evaluate_solution"] == 2 * calls["shift_basis"]
-    # the start basis and its two growth rebuilds (6, 12 and 24 terms), then a
-    # validation shift per eigenvalue plus the re-expansion at each refined
-    # value (the last eigenvalue needs none)
-    assert calls["build_basis"] == 2 * len(records) + 2
-    # every shift and rebuild frees the set it starts from before it builds
-    assert len(power_builds) == calls["build_basis"]
-    assert all(alive == 0 for _, alive, _ in power_builds)
-
-
-def _track_power_sets(monkeypatch):
-    """``(n_terms, sets alive, inside build_basis)`` for each power build.
-
-    Every ``FormalPowerSet`` is followed by a weak reference, and each call
-    of ``compute_formal_powers`` records how many are alive as it starts and
-    whether ``build_basis`` made it (else a released basis is rebuilding
-    its rows).
-    """
-    builds, alive, depth = [], [], []
-    original_init = FormalPowerSet.__init__
-    original_powers = basis_module.compute_formal_powers
-
-    def tracked_init(self, *args, **kwargs):
-        original_init(self, *args, **kwargs)
-        alive.append(weakref.ref(self))
-
-    def recording(f, p, r, n_terms):
-        builds.append((n_terms, sum(ref() is not None for ref in alive), bool(depth)))
-        return original_powers(f, p, r, n_terms)
-
-    def flagged(build):
-        def wrapper(*args, **kwargs):
-            depth.append(1)
-            try:
-                return build(*args, **kwargs)
-            finally:
-                depth.pop()
-
-        return wrapper
-
-    monkeypatch.setattr(FormalPowerSet, "__init__", tracked_init)
-    monkeypatch.setattr(basis_module, "compute_formal_powers", recording)
-    for module in (basis_module, spectral_module):
-        monkeypatch.setattr(module, "build_basis", flagged(module.build_basis))
-    return builds
+    # the start basis grows twice (6, 12 and 24 terms), then a validation
+    # shift per eigenvalue plus the re-expansion at each refined value (the
+    # last eigenvalue needs none)
+    assert calls["shift_basis"] == 2 * len(records) - 1
+    assert [(n, how) for n, _, how in power_builds[:3]] == [(6, "new"), (12, "grow"), (24, "grow")]
+    assert [how for _, _, how in power_builds[3:]] == ["new"] * calls["shift_basis"]
+    # each particular solution is verified once: the start's, and each shift's
+    assert calls["verify_particular"] == 1 + calls["shift_basis"]
+    # every shift and growth frees the set it starts from before it builds
+    assert all(alive == [] for _, alive, _ in power_builds)
 
 
 def test_characteristic_at_frees_the_source_before_the_shift(bundled_problem, monkeypatch):
     problem = bundled_problem("trivial")
-    power_builds = _track_power_sets(monkeypatch)
+    power_builds = track_power_sets(monkeypatch)
     phi = characteristic_at(problem, center=5)
     assert phi.center == 5
     # the start basis at full order, then the shifted one, never both alive
     n_full = problem.solver.n_terms
-    assert power_builds == [(n_full, 0, True), (n_full, 0, True)]
+    assert power_builds == [(n_full, [], "new"), (n_full, [], "new")]
 
 
 # scan_small seed 2, case scan27 (perfbench/workloads.py): the validation of
@@ -595,12 +584,12 @@ SCAN27_RECORDS = [
 def test_failed_validation_rebuilds_the_main_basis_alone(monkeypatch):
     problem = parse_problem(SCAN27)
     config, _, _, _, start = prepare(problem)
-    power_builds = _track_power_sets(monkeypatch)
+    power_builds = track_power_sets(monkeypatch)
     records = sweep_eigenvalues(problem, config, particular=start)
     # the main basis released its rows for the failed validation and
     # rebuilds them, once, at its own order for the next candidate
-    assert [n for n, _, in_build in power_builds if not in_build] == [31]
-    assert all(alive == 0 for _, alive, _ in power_builds)
+    assert [n for n, _, how in power_builds if how == "reread"] == [31]
+    assert all(alive == [] for _, alive, _ in power_builds)
     got = [
         tuple(float(v).hex() for v in (
             rec.lam.real, rec.lam.imag, rec.center_used.real, rec.center_used.imag,
@@ -621,39 +610,19 @@ def _sweep_with_orders(problem, monkeypatch, alive_orders=None, rebuilt=None):
 
     The starting solution is prepared first, so a seed build is not counted.
     ``alive_orders``, when given, receives for every build the orders of the
-    bases still alive at its start.  ``rebuilt``, when given, receives the
-    indices of the builds the sweep makes through its own ``build_basis``
-    (the first main basis, growth, stall and full-order rebuilds) rather
-    than through ``shift_basis``.
+    power sets still alive at its start.  ``rebuilt``, when given, receives
+    the indices of the builds made by ``SppsBasis.grow`` (growth, stall and
+    full-order rebuilds) rather than by a new basis or a reread.
     """
     config, _, _, _, start = prepare(problem)
-    orders = []
-    alive = []
-    original = basis_module.compute_formal_powers
-    original_init = SppsBasis.__init__
-    original_build = spectral_module.build_basis
-
-    def recording(f, p, r, n_terms):
-        orders.append(n_terms)
-        if alive_orders is not None:
-            alive_orders.append([b.n_terms for b in (ref() for ref in alive) if b is not None])
-        return original(f, p, r, n_terms)
-
-    def tracked_init(self, *args, **kwargs):
-        original_init(self, *args, **kwargs)
-        alive.append(weakref.ref(self))
-
-    def sweep_build(particular, samples, n_terms):
-        if rebuilt is not None:
-            rebuilt.append(len(orders))
-        return original_build(particular, samples, n_terms)
-
     with monkeypatch.context() as m:
-        m.setattr(basis_module, "compute_formal_powers", recording)
-        m.setattr(SppsBasis, "__init__", tracked_init)
-        m.setattr(spectral_module, "build_basis", sweep_build)
+        builds = track_power_sets(m)
         records = sweep_eigenvalues(problem, config, particular=start)
-    return records, orders
+    if alive_orders is not None:
+        alive_orders.extend(alive for _, alive, _ in builds)
+    if rebuilt is not None:
+        rebuilt.extend(i for i, (_, _, how) in enumerate(builds) if how == "grow")
+    return records, [n for n, _, _ in builds]
 
 
 def _grown_from(orders, rebuilt, start):
@@ -707,7 +676,7 @@ def test_validation_is_short_and_matches_full_order(bundled_problem, monkeypatch
     # one re-expansion (none after the last): no full-order fallback fired
     grown = _grown_from(orders, rebuilt, 0)
     assert grown == [6, 12, 24]
-    assert rebuilt == [0, 1, 2]
+    assert rebuilt == [1, 2]
     walk = orders[len(grown) - 1 :]
     assert len(walk) == 2 * len(records)
     assert all(n <= n_full for n in walk[2::2])
@@ -771,7 +740,7 @@ def test_short_main_basis_rebuilt_at_full_order(bundled_problem, monkeypatch, na
     reference, _ = _sweep_with_orders(problem, monkeypatch)
     # a later main basis this short still counts at every candidate (order 3)
     # or has only the found root and stalls (order 1): before any candidate of
-    # it is validated it is grown, doubling its order, or rebuilt at full order
+    # it is validated it grows, doubling its order, or to full order
     monkeypatch.setattr(
         spectral_module,
         "_main_order",
@@ -786,7 +755,7 @@ def test_short_main_basis_rebuilt_at_full_order(bundled_problem, monkeypatch, na
         grown = _grown_from(forced_orders, rebuilt, i)
         assert len(grown) > 1
         assert all(new in (min(n_full, 2 * old), n_full) for old, new in zip(grown, grown[1:]))
-        # the short basis is freed before its rebuild
+        # the short rows are freed before each growth
         assert all(alive_orders[j] == [] for j in range(i + 1, i + len(grown)))
         final_orders.append(grown[-1])
     if n_main == 1:
@@ -852,7 +821,7 @@ def test_short_first_main_basis_grows(bundled_problem, monkeypatch, name, n_firs
     assert len(grown) > 1
     assert all(old < new for old, new in zip(grown, grown[1:]))
     assert grown[-1] <= n_full
-    # each short basis is freed before its rebuild
+    # each short set of rows is freed before its growth
     assert alive_orders[: len(grown)] == [[]] * len(grown)
     _assert_close_records(records, reference)
     # the grown basis is the one built at its final order directly

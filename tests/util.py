@@ -6,10 +6,12 @@ the acceptance tests.
 """
 
 import math
+import weakref
 
 import numpy as np
 
-from spps.basis import ParticularSolution, build_basis, evaluate_solution
+import spps.basis
+from spps.basis import ParticularSolution, SppsBasis, build_basis, evaluate_solution
 from spps.expressions import parse
 from spps.mesh import (
     Interval,
@@ -19,7 +21,7 @@ from spps.mesh import (
     build_mesh,
     sample_coefficients,
 )
-from spps.powers import _growth_bounds
+from spps.powers import FormalPowerSet, _growth_bounds
 from spps.problems import BoundaryCondition, ParticularPiece, Problem, SolverConfig
 from spps.quadrature import indefinite_integral, l1_norm
 
@@ -133,6 +135,45 @@ def identity_shift(basis):
         lambda_star=basis.center,
     )
     return build_basis(ps, basis.samples, basis.n_terms)
+
+
+def track_power_sets(monkeypatch):
+    """``(n_terms, orders of the sets alive, how)`` for each power build.
+
+    Every ``FormalPowerSet`` is followed by a weak reference, and each call
+    of ``compute_formal_powers`` records the orders of those alive as it
+    starts and how the build was made: ``"new"`` by the ``SppsBasis``
+    constructor, ``"grow"`` by ``SppsBasis.grow``, ``"reread"`` when a
+    released basis rebuilds its rows on a read.
+    """
+    builds, alive, making = [], [], []
+    original_init = FormalPowerSet.__init__
+    original_powers = spps.basis.compute_formal_powers
+
+    def tracked_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        alive.append(weakref.ref(self))
+
+    def recording(f, p, r, n_terms):
+        live = [fp.n_terms for fp in (ref() for ref in alive) if fp is not None]
+        builds.append((n_terms, live, making[-1] if making else "reread"))
+        return original_powers(f, p, r, n_terms)
+
+    def flagged(method, how):
+        def wrapper(*args, **kwargs):
+            making.append(how)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                making.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(FormalPowerSet, "__init__", tracked_init)
+    monkeypatch.setattr(spps.basis, "compute_formal_powers", recording)
+    monkeypatch.setattr(SppsBasis, "__init__", flagged(SppsBasis.__init__, "new"))
+    monkeypatch.setattr(SppsBasis, "grow", flagged(SppsBasis.grow, "grow"))
+    return builds
 
 
 def truncation_residual(basis, lam, which="first"):
