@@ -9,7 +9,8 @@ quasi-derivatives are
 
 with mu = lambda - lambda*, T the first family and P the second.  The
 quasi-derivative p*u' is the object carried everywhere: it stays
-continuous across coefficient jumps while u' itself may not.
+continuous across coefficient jumps while u' itself may not.  Only this
+module reads power rows: ``evaluate_solution``, ``SppsBasis.endpoint_series``.
 
 The seed construction solves the lambda*=0 equation by running the same
 recursion with f == 1 and -q in place of r, evaluating both series at
@@ -80,12 +81,13 @@ class ParticularSolution:
 class SppsBasis:
     """Formal powers on a particular solution, centred at its lambda*.
 
-    A handle: the constructor builds the power rows at order ``n_terms``
-    and does not verify the particular solution (``build_basis`` does).
-    ``release`` frees the rows, which are rebuilt at the same order, bit for
-    bit, when next read; ``grow`` raises the order.  ``shift_tail`` is the
-    truncation tail of the basis this one was shifted from, evaluated at the
-    new center (0.0 for a basis built directly).
+    A handle: the constructor builds the power rows at order ``n_terms`` and
+    does not verify the particular solution (``prepare`` checks the start,
+    ``build_basis`` a recentred one).  ``release`` frees the rows, which are
+    rebuilt at the same order, bit for bit, when next read; ``grow`` raises
+    the order.  ``shift_tail`` is the truncation tail of the basis this one
+    was shifted from, evaluated at the new center (0.0 for a basis built
+    directly).
     """
 
     def __init__(self, particular, samples, n_terms):
@@ -126,6 +128,31 @@ class SppsBasis:
             self.release()
             self.n_terms = n_terms
             self._build()
+
+    def endpoint_series(self):
+        """Series in mu of (u1, p u1', u2, p u2') at a and at b: two 4-tuples.
+
+        The powers vanish at a, so each series there has one term.
+        """
+        n = self.n_terms
+        fp = self.powers
+        f_a = self.particular.f.at_a
+        f_b = self.particular.f.at_b
+        pf_a = self.particular.pf_prime.at_a
+        pf_b = self.particular.pf_prime.at_b
+        tilde_b = fp.tilde[:, -1]
+        plain_b = fp.plain[:, -1]
+
+        ks = np.arange(n + 1)
+        u1_b = f_b * tilde_b[2 * ks]
+        pu1_b = pf_b * tilde_b[2 * ks]
+        pu1_b[1:] += tilde_b[2 * ks[1:] - 1] / f_b
+        u2_b = f_b * plain_b[2 * ks + 1]
+        pu2_b = pf_b * plain_b[2 * ks + 1] + plain_b[2 * ks] / f_b
+
+        one = np.ones(1, dtype=np.complex128)
+        at_a = (f_a * one, pf_a * one, np.zeros(1, dtype=np.complex128), (1.0 / f_a) * one)
+        return at_a, (u1_b, pu1_b, u2_b, pu2_b)
 
 
 def particular_residual(samples, ps):
@@ -273,12 +300,12 @@ def _horner_rows(rows, mu, count):
     return acc
 
 
-def evaluate_solution(basis, lam, which="first"):
-    """Samples of u and p*u' of one basis solution at lambda, and its tail.
+def evaluate_solution(basis, lam):
+    """Both basis solutions and their quasi-derivatives at lambda, and the tail.
 
-    Returns ``(u, pu, tail)``: two complex arrays on the expanded grid and
-    a float.  Any complex lambda is accepted; accuracy degrades away from
-    the center and is reported through ``tail`` (see ``_tail_indicator``).
+    Returns ``(u1, pu1, u2, pu2, tail)``: four arrays on the expanded grid and
+    the larger of the two series tails.  Any complex lambda is accepted; accuracy
+    degrades away from the center, as ``tail`` reports (``_tail_indicator``).
     """
     n = basis.n_terms
     mu = complex(lam) - basis.center
@@ -286,26 +313,21 @@ def evaluate_solution(basis, lam, which="first"):
     fv = basis.particular.f.values
     pfv = basis.particular.pf_prime.values
 
-    if which == "first":
-        even = _horner_rows(fp.tilde[0::2], mu, n + 1)
-        u = fv * even
-        pu = pfv * even
-        if n >= 1:
-            odd = _horner_rows(fp.tilde[1::2], mu, n)
-            pu = pu + (mu / fv) * odd
-        last = fp.tilde[2 * n]
-        series_sum = even
-    elif which == "second":
-        odd = _horner_rows(fp.plain[1::2], mu, n + 1)
-        even = _horner_rows(fp.plain[0::2], mu, n + 1)
-        u = fv * odd
-        pu = pfv * odd + even / fv
-        last = fp.plain[2 * n + 1]
-        series_sum = odd
-    else:
-        raise ValueError(f"which must be 'first' or 'second', got {which!r}")
+    even = _horner_rows(fp.tilde[0::2], mu, n + 1)
+    u1 = fv * even
+    pu1 = pfv * even
+    if n >= 1:
+        odd = _horner_rows(fp.tilde[1::2], mu, n)
+        pu1 = pu1 + (mu / fv) * odd
+    tail1 = _tail_indicator(mu, n, fp.tilde[2 * n], even)
 
-    return u, pu, _tail_indicator(mu, n, last, series_sum)
+    odd = _horner_rows(fp.plain[1::2], mu, n + 1)
+    even = _horner_rows(fp.plain[0::2], mu, n + 1)
+    u2 = fv * odd
+    pu2 = pfv * odd + even / fv
+    tail2 = _tail_indicator(mu, n, fp.plain[2 * n + 1], odd)
+
+    return u1, pu1, u2, pu2, max(tail1, tail2)
 
 
 def _tail_indicator(mu, n, last_row, series_sum):
@@ -327,19 +349,13 @@ def _tail_indicator(mu, n, last_row, series_sum):
     return math.exp(log_tail)
 
 
-def _evaluate_both(basis, new_center):
-    u1, pu1, tail1 = evaluate_solution(basis, new_center, "first")
-    u2, pu2, tail2 = evaluate_solution(basis, new_center, "second")
-    return u1, pu1, u2, pu2, max(tail1, tail2)
-
-
 def shift_basis(basis, new_center, n_terms=None):
     """Recentre the basis at ``new_center``, rebuilt with ``n_terms`` powers.
 
     Evaluates both solutions there, picks the combination c1*u1 + c2*u2
     maximising min|f*|/max|f*|, releases the rows of ``basis`` and only then
     rebuilds the powers on that combination, so one power set is alive at a
-    time; ``build_basis`` verifies the recentred particular solution.
+    time; ``build_basis`` verifies the recentred particular solution, once.
     ``n_terms`` defaults to the basis's own order.  When a shorter basis's
     tail at ``new_center`` exceeds EXACT_TAIL, its rows are released and a
     handle at ``n_terms`` on the same particular solution evaluates instead;
@@ -348,11 +364,11 @@ def shift_basis(basis, new_center, n_terms=None):
     """
     new_center = complex(new_center)
     n_terms = basis.n_terms if n_terms is None else n_terms
-    u1, pu1, u2, pu2, tail = _evaluate_both(basis, new_center)
+    u1, pu1, u2, pu2, tail = evaluate_solution(basis, new_center)
     if basis.n_terms < n_terms and tail > EXACT_TAIL:
         basis.release()
         basis = SppsBasis(basis.particular, basis.samples, n_terms)
-        u1, pu1, u2, pu2, tail = _evaluate_both(basis, new_center)
+        u1, pu1, u2, pu2, tail = evaluate_solution(basis, new_center)
     if tail > TRUST_TAIL_LIMIT:
         raise ShiftFailureError(
             f"shift from {basis.center} to {new_center} leaves the trust region "

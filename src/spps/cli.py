@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .basis import build_basis
+from .basis import SppsBasis
 from .errors import InputError, SolverError
 from .mesh import subinterval_counts
 from .problems import (
@@ -168,7 +168,7 @@ def cmd_powers(args):
     _, samples, _, _, particular = prepare(problem, None, None)
     slot = samples.mesh.slot_of(args.at)
     # row n is the same in every set of order n // 2 or more (2N+1 >= n)
-    fp = build_basis(particular, samples, args.n // 2).powers
+    fp = SppsBasis(particular, samples, args.n // 2).powers
     x = samples.mesh.xs[slot]
     sys.stdout.write(
         f"x={_fmt(x)} tilde_{args.n}={format_complex(fp.tilde[args.n][slot])} "

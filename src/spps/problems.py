@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expressions
-from .basis import build_seed_solution, particular_from_samples
+from .basis import build_seed_solution, particular_from_samples, verify_particular
 from .errors import ExpressionError, MeshError, ProblemFormatError
 from .mesh import Interval, Piece, ProblemSamples, build_mesh, sample_coefficients, sample_piecewise
 
@@ -394,11 +394,13 @@ def particular_for(problem, samples):
 
 
 def prepare(problem, config=None, particular=None):
-    """Resolve config, sample coefficients, and obtain a starting solution.
+    """Resolve config, sample coefficients, and obtain a verified starting solution.
 
     ``particular`` overrides both the problem file's expressions and the
     seed construction (used by tests exercising scaling invariance); it
-    must be sampled on the mesh that ``config.mesh_m`` gives.
+    must be sampled on the mesh that ``config.mesh_m`` gives.  Each start is
+    verified here, once (the file's f and the seed as they are built), so
+    callers build on it with ``SppsBasis`` and check nothing again.
     """
     config = problem.solver if config is None else config
     samples = sample_problem(problem, config.mesh_m)
@@ -413,6 +415,8 @@ def prepare(problem, config=None, particular=None):
             f"particular solution is sampled on another mesh (M = "
             f"{start.f.mesh.n_subintervals}) than the problem (M = {samples.mesh.n_subintervals})"
         )
+    else:
+        verify_particular(samples, start)
     if start is None:
         start = build_seed_solution(samples, config.n_terms)
     return config, samples, problem.bc_left, problem.bc_right, start

@@ -5,10 +5,11 @@ For two-point conditions B_E[u] = alpha_E(lambda) u(E) + beta_E(lambda) d(E)
 
     Phi = B_L[u1] B_R[u2] - B_L[u2] B_R[u1].
 
-Both basis solutions are power series in mu = lambda - center with known
-endpoint coefficients, so Phi becomes a polynomial in mu: the boundary
-polynomials are recentred at the series center and multiplied in by
-convolution.  Roots come from the companion matrix of the significant part
+Both basis solutions are power series in mu = lambda - center whose
+endpoint coefficients the basis hands over (``SppsBasis.endpoint_series``;
+this module reads no power rows), so Phi becomes a polynomial in mu: the
+boundary polynomials are recentred at the series center and multiplied in
+by convolution.  Roots come from the companion matrix of the significant part
 of that polynomial and are polished by a few Newton steps.
 
 The sweep walks the spectrum: find the nearest new root, validate it by
@@ -29,7 +30,8 @@ candidate is validated; when it stalls, to full order.
 One power set is alive at a time: every shift and growth frees the rows
 it starts from before it builds.  A main basis is rebuilt on its particular
 solution, at its order, when it is read again: after a candidate fails
-validation, and under ``fixed_center`` once per eigenvalue.
+validation, and under ``fixed_center`` once per eigenvalue.  ``prepare``
+has verified the start, so the first basis is an unchecked ``SppsBasis``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import cmp_to_key
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .basis import EXACT_TAIL, build_basis, shift_basis
+from .basis import EXACT_TAIL, SppsBasis, shift_basis
 from .errors import (
     ConfigurationError,
     ContourError,
@@ -149,36 +151,11 @@ def _conv_trunc(a, b, length):
 
 
 def assemble_characteristic(basis, bc_left, bc_right):
-    """Build the characteristic polynomial from endpoint series data.
-
-    The powers vanish at the left endpoint a, so u1, u2 have known initial
-    data there.
-    """
+    """Phi from the boundary conditions applied to ``basis.endpoint_series()``."""
     if bc_left.endpoint != "left" or bc_right.endpoint != "right":
         raise ConfigurationError("boundary conditions must be one left, one right")
 
-    n = basis.n_terms
-    fp = basis.powers
-    f_a = basis.particular.f.at_a
-    f_b = basis.particular.f.at_b
-    pf_a = basis.particular.pf_prime.at_a
-    pf_b = basis.particular.pf_prime.at_b
-    tilde_b = fp.tilde[:, -1]
-    plain_b = fp.plain[:, -1]
-
-    ks = np.arange(n + 1)
-    u1_b = f_b * tilde_b[2 * ks]
-    pu1_b = pf_b * tilde_b[2 * ks]
-    pu1_b[1:] += tilde_b[2 * ks[1:] - 1] / f_b
-    u2_b = f_b * plain_b[2 * ks + 1]
-    pu2_b = pf_b * plain_b[2 * ks + 1] + plain_b[2 * ks] / f_b
-
-    one = np.ones(1, dtype=np.complex128)
-    left = {
-        "u1": (f_a * one, pf_a * one),
-        "u2": (np.zeros(1, dtype=np.complex128), (1.0 / f_a) * one),
-    }
-    right = {"u1": (u1_b, pu1_b), "u2": (u2_b, pu2_b)}
+    (u1_a, pu1_a, u2_a, pu2_a), (u1_b, pu1_b, u2_b, pu2_b) = basis.endpoint_series()
 
     def beta_effective(bc, p_end):
         if bc.derivative_form == "p_u_prime":
@@ -196,17 +173,15 @@ def assemble_characteristic(basis, bc_left, bc_right):
     alpha_r = _recenter_poly(bc_right.alpha, basis.center)
     beta_r = _recenter_poly(beta_effective(bc_right, p_b), basis.center)
 
-    d_total = n + bc_left.degree + bc_right.degree
-    length = d_total + 1
+    length = basis.n_terms + bc_left.degree + bc_right.degree + 1
 
-    def apply_bc(alpha, beta, pair):
-        u, pu = pair
+    def apply_bc(alpha, beta, u, pu):
         return _conv_trunc(alpha, u, length) + _conv_trunc(beta, pu, length)
 
-    bl_u1 = apply_bc(alpha_l, beta_l, left["u1"])
-    bl_u2 = apply_bc(alpha_l, beta_l, left["u2"])
-    br_u1 = apply_bc(alpha_r, beta_r, right["u1"])
-    br_u2 = apply_bc(alpha_r, beta_r, right["u2"])
+    bl_u1 = apply_bc(alpha_l, beta_l, u1_a, pu1_a)
+    bl_u2 = apply_bc(alpha_l, beta_l, u2_a, pu2_a)
+    br_u1 = apply_bc(alpha_r, beta_r, u1_b, pu1_b)
+    br_u2 = apply_bc(alpha_r, beta_r, u2_b, pu2_b)
 
     coeffs = _conv_trunc(bl_u1, br_u2, length) - _conv_trunc(bl_u2, br_u1, length)
     return CharacteristicPolynomial(coeffs=coeffs, center=basis.center)
@@ -332,7 +307,7 @@ def sweep_eigenvalues(problem, config=None, particular=None):
     discovery order.
     """
     config, samples, bc_left, bc_right, start = prepare(problem, config, particular)
-    basis = build_basis(start, samples, _main_order(None, config, None))
+    basis = SppsBasis(start, samples, _main_order(None, config, None))
 
     records = []
     found = []
@@ -535,7 +510,7 @@ def characteristic_at(problem, center=0.0):
     if not cmath.isfinite(center):
         raise InputError(f"center must be finite, got {center}")
     config, samples, bc_left, bc_right, start = prepare(problem)
-    basis = build_basis(start, samples, config.n_terms)
+    basis = SppsBasis(start, samples, config.n_terms)
     if center != basis.center:
         basis = shift_basis(basis, center)
     return assemble_characteristic(basis, bc_left, bc_right)

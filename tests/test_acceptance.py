@@ -247,8 +247,7 @@ def test_criterion_7_property_suite(bundled_problem):
             lam = basis.center + complex(
                 rng.uniform(-radius, radius), rng.uniform(-radius, radius)
             )
-            u1, pu1, _ = evaluate_solution(basis, lam, "first")
-            u2, pu2, _ = evaluate_solution(basis, lam, "second")
+            u1, pu1, u2, pu2, _ = evaluate_solution(basis, lam)
             w = u1 * pu2 - u2 * pu1
             worst_wronskian = max(worst_wronskian, float(np.abs(w - 1.0).max()))
 
@@ -259,9 +258,10 @@ def test_criterion_7_property_suite(bundled_problem):
         worst_identity = max(worst_identity, dev)
 
         # truncation residual at the center is pure quadrature error
-        for which in ("first", "second"):
+        _, pu1, _, pu2, _ = evaluate_solution(basis, basis.center)
+        for which, pu in (("first", pu1), ("second", pu2)):
             res = truncation_residual(basis, basis.center, which)
-            scale = float(np.abs(evaluate_solution(basis, basis.center, which)[1]).max())
+            scale = float(np.abs(pu).max())
             worst_truncation = max(worst_truncation, res / max(scale, 1e-300))
 
     assert worst_wronskian <= 1e-9

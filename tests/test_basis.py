@@ -198,12 +198,11 @@ def test_nearly_vanishing_user_f_rejected():
 
 
 def test_unit_series_converges_to_cosh_sinh(unit_basis):
-    u1, _, _ = evaluate_solution(unit_basis, 1.0, "first")
-    u2, _, _ = evaluate_solution(unit_basis, 1.0, "second")
+    u1, _, u2, _, _ = evaluate_solution(unit_basis, 1.0)
     assert abs(u1[-1] - math.cosh(1.0)) <= 1e-12
     assert abs(u2[-1] - math.sinh(1.0)) <= 1e-12
     lam = 2.37
-    u1, _, _ = evaluate_solution(unit_basis, lam, "first")
+    u1 = evaluate_solution(unit_basis, lam)[0]
     x = unit_basis.samples.mesh.xs
     expect = np.cosh(math.sqrt(lam) * x)
     assert np.abs(u1 - expect).max() <= 1e-11
@@ -211,8 +210,7 @@ def test_unit_series_converges_to_cosh_sinh(unit_basis):
 
 def test_evaluation_at_center_is_exact(unit_basis, step_setup):
     for basis in (unit_basis, step_setup[4]):
-        u1, pu1, tail1 = evaluate_solution(basis, basis.center, "first")
-        u2, pu2, _ = evaluate_solution(basis, basis.center, "second")
+        u1, pu1, u2, pu2, tail = evaluate_solution(basis, basis.center)
         assert np.array_equal(u1, basis.particular.f.values)
         assert np.array_equal(pu1, basis.particular.pf_prime.values)
         # u2 = f * X^(1), with initial data u2(x0) = 0, pu2'(x0) = 1/f(x0)
@@ -220,7 +218,7 @@ def test_evaluation_at_center_is_exact(unit_basis, step_setup):
         assert np.abs(u2 - expect_u2).max() <= 1e-15 * np.abs(expect_u2).max()
         assert u2[0] == 0.0
         assert pu2[0] == 1.0 / basis.particular.f.values[0]
-        assert tail1 == 0.0
+        assert tail == 0.0
 
 
 def test_wronskian_identity(unit_basis, step_setup):
@@ -228,16 +226,14 @@ def test_wronskian_identity(unit_basis, step_setup):
     for basis, radius in ((unit_basis, 4.0), (step_setup[4], 3.0)):
         for _ in range(10):
             lam = basis.center + complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-            u1, pu1, _ = evaluate_solution(basis, lam, "first")
-            u2, pu2, _ = evaluate_solution(basis, lam, "second")
+            u1, pu1, u2, pu2, _ = evaluate_solution(basis, lam)
             w = u1 * pu2 - u2 * pu1
             assert np.abs(w - 1.0).max() <= 1e-9
 
 
 def test_solution_continuity_across_breakpoints(step_setup):
     _, samples, _, _, basis = step_setup
-    u1, pu1, _ = evaluate_solution(basis, 1.7, "first")
-    u2, pu2, _ = evaluate_solution(basis, 1.7, "second")
+    u1, pu1, u2, pu2, _ = evaluate_solution(basis, 1.7)
     for left, right in samples.mesh.breakpoint_slots:
         assert u1[left] == u1[right]
         assert pu1[left] == pu1[right]
@@ -342,9 +338,10 @@ def test_scheduled_shift_quality_gate():
 
 def test_truncation_residual_at_center(unit_basis, step_setup):
     for basis in (unit_basis, step_setup[4]):
-        for which in ("first", "second"):
+        _, pu1, _, pu2, _ = evaluate_solution(basis, basis.center)
+        for which, pu in (("first", pu1), ("second", pu2)):
             res = truncation_residual(basis, basis.center, which)
-            scale = np.abs(evaluate_solution(basis, basis.center, which)[1]).max()
+            scale = np.abs(pu).max()
             assert res <= 1e-10 * max(scale, 1.0)
 
 
@@ -358,8 +355,8 @@ def test_truncation_residual_off_center():
 
 
 def test_truncation_tail_grows_with_distance(unit_basis):
-    near = evaluate_solution(unit_basis, 0.5, "first")[2]
-    far = evaluate_solution(unit_basis, 20.0, "first")[2]
+    near = evaluate_solution(unit_basis, 0.5)[4]
+    far = evaluate_solution(unit_basis, 20.0)[4]
     assert 0 < near < far
 
 

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from spps import basis as basis_module
+from spps import cli as cli_module
+from spps import problems as problems_module
 from spps import spectral as spectral_module
-from spps.basis import build_basis, shift_basis
+from spps.basis import ParticularSolution, build_basis, evaluate_solution, shift_basis
 from spps.errors import (
     ConfigurationError,
     ContourError,
     DegeneratePolynomialError,
     InputError,
+    ParticularResidualError,
     ProblemFormatError,
     SweepStalledError,
 )
@@ -18,6 +21,7 @@ from spps.problems import (
     POLICIES,
     BoundaryCondition,
     SolverConfig,
+    fixture_path,
     parse_problem,
     prepare,
     with_overrides,
@@ -491,25 +495,97 @@ def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, mo
         return wrapper
 
     for name in calls:
-        for module in (basis_module, spectral_module):
+        for module in (basis_module, problems_module, spectral_module):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     power_builds = track_power_sets(monkeypatch)
 
     records = sweep_eigenvalues(problem, config, particular=start)
     assert len(records) == 2
-    assert calls["verify_particular"] == calls["build_basis"]
-    assert calls["evaluate_solution"] == 2 * calls["shift_basis"]
+    # one build and one evaluation per shift: the verified start is built
+    # on directly, and a shift evaluates both solutions in one call
+    assert calls["build_basis"] == calls["shift_basis"]
+    assert calls["evaluate_solution"] == calls["shift_basis"]
     # the start basis grows twice (6, 12 and 24 terms), then a validation
     # shift per eigenvalue plus the re-expansion at each refined value (the
     # last eigenvalue needs none)
     assert calls["shift_basis"] == 2 * len(records) - 1
     assert [(n, how) for n, _, how in power_builds[:3]] == [(6, "new"), (12, "grow"), (24, "grow")]
     assert [how for _, _, how in power_builds[3:]] == ["new"] * calls["shift_basis"]
-    # each particular solution is verified once: the start's, and each shift's
+    # each particular solution is verified once: the start's (in prepare),
+    # and each shift's
     assert calls["verify_particular"] == 1 + calls["shift_basis"]
     # every shift and growth frees the set it starts from before it builds
     assert all(alive == [] for _, alive, _ in power_builds)
+
+
+def _record_start_checks(monkeypatch):
+    """The particular solutions ``verify_particular`` checks, and the starts
+    ``prepare`` hands to the sweep, ``characteristic_at`` and ``spps powers``.
+
+    Checks are counted through both bindings of ``verify_particular``, the
+    one in ``basis`` and the one in ``problems``.
+    """
+    checked, starts = [], []
+    verify, prepare_start = basis_module.verify_particular, problems_module.prepare
+
+    def recording_verify(samples, ps):
+        checked.append(ps)
+        return verify(samples, ps)
+
+    def recording_prepare(*args, **kwargs):
+        prepared = prepare_start(*args, **kwargs)
+        starts.append(prepared[4])
+        return prepared
+
+    for module in (basis_module, problems_module):
+        monkeypatch.setattr(module, "verify_particular", recording_verify)
+    for module in (spectral_module, cli_module):
+        monkeypatch.setattr(module, "prepare", recording_prepare)
+    return checked, starts
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda load: sweep_eigenvalues(load("trivial")),
+        lambda load: sweep_eigenvalues(three_piece_problem()),
+        lambda load: characteristic_at(load("trivial"), 0),
+        lambda load: cli_module.main(
+            ["powers", str(fixture_path("trivial.prob")), "--n", "3", "--at", "0.5"]
+        ),
+    ],
+    ids=["sweep-file-f", "sweep-seeded", "characteristic_at", "cli-powers"],
+)
+def test_start_is_verified_once(bundled_problem, monkeypatch, capsys, run):
+    checked, starts = _record_start_checks(monkeypatch)
+    run(bundled_problem)
+    assert len(starts) == 1
+    assert sum(ps is starts[0] for ps in checked) == 1
+
+
+def test_handed_in_start_failing_its_equation_is_rejected(bundled_problem, monkeypatch):
+    problem = bundled_problem("trivial")
+    config, _, _, _, start = prepare(problem)
+    # f = 1 solves (p f')' + q f = 0 here, not the lambda* = 1 equation
+    bad = ParticularSolution(f=start.f, pf_prime=start.pf_prime, lambda_star=1.0)
+    power_builds = track_power_sets(monkeypatch)
+    with pytest.raises(ParticularResidualError):
+        sweep_eigenvalues(problem, config, particular=bad)
+    assert power_builds == []
+
+
+@pytest.mark.parametrize("mu", [0.3, 1 + 0.5j])
+def test_endpoint_series_agree_with_the_mesh_evaluation(mu):
+    _, samples, _, _, start = prepare(step_potential_problem(n_terms=12, m=400))
+    basis = build_basis(start, samples, 12)
+    at_a, at_b = basis.endpoint_series()
+    on_mesh = evaluate_solution(basis, basis.center + mu)[:4]
+    for series, values in zip(at_b, on_mesh):
+        summed = np.polynomial.polynomial.polyval(mu, series)
+        assert abs(summed - values[-1]) <= 1e-13 * abs(values[-1])
+    # the powers are anchored at a: the series there are their constant terms
+    assert [series.tolist() for series in at_a] == [[values[0]] for values in on_mesh]
 
 
 def test_characteristic_at_frees_the_source_before_the_shift(bundled_problem, monkeypatch):

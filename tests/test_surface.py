@@ -70,3 +70,24 @@ def test_module_imports_are_layered():
             graph[name] |= {t if t in modules else "__init__" for t in targets}
     assert nested == []
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def _attributes_read(tree):
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_only_basis_reads_power_rows():
+    """``.tilde``/``.plain`` are read where rows are made or printed, and in ``basis``."""
+    package = ROOT / "src" / "spps"
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")
+    }
+    readers = {name for name, tree in trees.items() if {"tilde", "plain"} & _attributes_read(tree)}
+    assert readers <= {"powers", "basis", "cli"}
+    spectral = trees["spectral"]
+    assert "powers" not in _attributes_read(spectral)
+    imported = {
+        alias.name for node in ast.walk(spectral) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "build_basis" not in imported

@@ -127,7 +127,7 @@ def identity_shift(basis):
     At the center u1 = f and p u1' = p f', so the rebuilt powers should
     reproduce the original ones up to roundoff.
     """
-    u1, pu1, _ = evaluate_solution(basis, basis.center, "first")
+    u1, pu1, _, _, _ = evaluate_solution(basis, basis.center)
     mesh = basis.samples.mesh
     ps = ParticularSolution(
         f=SampledFunction(mesh, u1),
@@ -186,7 +186,8 @@ def truncation_residual(basis, lam, which="first"):
     f mu^N T(2N) for the first solution and f mu^N P(2N+1) for the second.
     """
     n = basis.n_terms
-    u, pu, _ = evaluate_solution(basis, lam, which)
+    u1, pu1, u2, pu2, _ = evaluate_solution(basis, lam)
+    u, pu = (u1, pu1) if which == "first" else (u2, pu2)
     mu = complex(lam) - basis.center
     fp = basis.powers
     last = fp.tilde[2 * n] if which == "first" else fp.plain[2 * n + 1]
