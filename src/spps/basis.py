@@ -169,7 +169,19 @@ def particular_residual(samples, ps):
 
 
 def verify_particular(samples, ps):
+    """Check that f stays off zero and solves its equation; return the residual.
+
+    Integrates the residual first, then raises NonvanishingError when
+    min|f| <= EPS_F_FACTOR * max|f|, else ParticularResidualError when the
+    residual exceeds RESIDUAL_TOL_FACTOR * max|pf'|.
+    """
     residual, scale = particular_residual(samples, ps)
+    abs_f = np.abs(ps.f.values)
+    if not abs_f.min() > EPS_F_FACTOR * abs_f.max():  # also catches NaN
+        k = int(np.argmin(abs_f))
+        raise NonvanishingError(
+            f"particular solution nearly vanishes at x={ps.f.mesh.xs[k]} (|f|={abs_f[k]:.3e})"
+        )
     if not residual <= RESIDUAL_TOL_FACTOR * scale + 1e-300:  # also catches NaN
         raise ParticularResidualError(
             f"particular solution residual {residual:.3e} exceeds "
@@ -201,18 +213,11 @@ def _reconciled(mesh, values, what):
 def particular_from_samples(samples, f, pf_prime):
     """Wrap sampled f, pf' at lambda* = 0 into a verified ParticularSolution."""
     mesh = samples.mesh
-    fv = _reconciled(mesh, f.values, "particular solution")
-    pv = _reconciled(mesh, pf_prime.values, "quasi-derivative")
     ps = ParticularSolution(
-        f=SampledFunction(mesh, fv),
-        pf_prime=SampledFunction(mesh, pv),
+        f=SampledFunction(mesh, _reconciled(mesh, f.values, "particular solution")),
+        pf_prime=SampledFunction(mesh, _reconciled(mesh, pf_prime.values, "quasi-derivative")),
         lambda_star=0j,
     )
-    if not ps.min_abs > EPS_F_FACTOR * float(np.abs(fv).max()):  # also catches NaN
-        k = int(np.argmin(np.abs(fv)))
-        raise NonvanishingError(
-            f"particular solution nearly vanishes at x={mesh.xs[k]} (|f|={ps.min_abs:.3e})"
-        )
     verify_particular(samples, ps)
     return ps
 
@@ -222,31 +227,22 @@ def build_seed_solution(samples, n_terms):
 
     Runs the power recursion with f == 1 and -q in place of r, sums both
     series at lambda = 1, and returns the first stock combination
-    c1*y1 + c2*y2 whose modulus stays above EPS_F_FACTOR * max|f|.
+    c1*y1 + c2*y2 that ``verify_particular`` accepts.
 
     The series are built only to the order past which the growth bounds
     (C1 = ||1/p||_L1, C2 = ||q||_L1) keep every term below EXACT_TAIL;
-    ``n_terms`` caps that order.  If the seed at the shorter order fails,
-    it is built again at ``n_terms``.
+    ``n_terms`` caps that order.  Past it every term is below an ulp of the
+    sum, so a longer build gives the same candidates.
     """
-    c1 = l1_norm(SampledFunction(samples.mesh, 1.0 / samples.p.values))
-    c2 = l1_norm(samples.q)
-    for n, bounds in enumerate(_growth_bounds(c1, c2)):
-        if n + 1 >= n_terms or (n * n > c1 * c2 and max(bounds) < EXACT_TAIL):
-            break
-    if n + 1 < n_terms:
-        try:
-            return _seed_at_order(samples, n + 1)
-        except SeedFailureError:
-            pass
-    return _seed_at_order(samples, n_terms)
-
-
-def _seed_at_order(samples, n_terms):
     mesh = samples.mesh
-    ones = constant_function(mesh, 1.0)
+    inv_p_l1 = l1_norm(SampledFunction(mesh, 1.0 / samples.p.values))
+    q_l1 = l1_norm(samples.q)
+    for n, bounds in enumerate(_growth_bounds(inv_p_l1, q_l1)):
+        if n + 1 >= n_terms or (n * n > inv_p_l1 * q_l1 and max(bounds) < EXACT_TAIL):
+            break
+    n_terms = min(n + 1, n_terms)
     seed_r = SampledFunction(mesh, -samples.q.values)
-    fp = compute_formal_powers(ones, samples.p, seed_r, n_terms)
+    fp = compute_formal_powers(constant_function(mesh, 1.0), samples.p, seed_r, n_terms)
 
     # series sums at lambda = 1: plain Kahan-free sums are fine, the terms
     # decay factorially
@@ -260,18 +256,16 @@ def _seed_at_order(samples, n_terms):
 
     last_error = None
     for c1, c2 in _SEED_COMBINATIONS:
-        fv = c1 * y1 + c2 * y2
-        max_abs = float(np.abs(fv).max())
-        if not float(np.abs(fv).min()) > EPS_F_FACTOR * max_abs:  # also catches NaN
-            continue
         ps = ParticularSolution(
-            f=SampledFunction(mesh, fv),
+            f=SampledFunction(mesh, c1 * y1 + c2 * y2),
             pf_prime=SampledFunction(mesh, c1 * py1 + c2 * py2),
             lambda_star=0.0,
         )
         try:
             verify_particular(samples, ps)
             return ps
+        except NonvanishingError:
+            continue
         except ParticularResidualError as exc:
             last_error = exc
     if last_error is not None:
@@ -338,6 +332,8 @@ def _tail_indicator(mu, n, last_row, series_sum):
     """
     amp = float(np.abs(last_row).max())
     ref = float(np.abs(series_sum).max())
+    if not math.isfinite(ref):  # the sum overflowed: nothing of it can be trusted
+        return math.inf
     if amp == 0.0:
         return 0.0
     if mu == 0:
@@ -355,7 +351,8 @@ def shift_basis(basis, new_center, n_terms=None):
     Evaluates both solutions there, picks the combination c1*u1 + c2*u2
     maximising min|f*|/max|f*|, releases the rows of ``basis`` and only then
     rebuilds the powers on that combination, so one power set is alive at a
-    time; ``build_basis`` verifies the recentred particular solution, once.
+    time; ``build_basis`` verifies the recentred particular solution, once,
+    and a failure of either invariant raises ShiftFailureError.
     ``n_terms`` defaults to the basis's own order.  When a shorter basis's
     tail at ``new_center`` exceeds EXACT_TAIL, its rows are released and a
     handle at ``n_terms`` on the same particular solution evaluates instead;
@@ -369,15 +366,15 @@ def shift_basis(basis, new_center, n_terms=None):
         basis.release()
         basis = SppsBasis(basis.particular, basis.samples, n_terms)
         u1, pu1, u2, pu2, tail = evaluate_solution(basis, new_center)
-    if tail > TRUST_TAIL_LIMIT:
+    if not tail <= TRUST_TAIL_LIMIT:  # also catches NaN
         raise ShiftFailureError(
             f"shift from {basis.center} to {new_center} leaves the trust region "
             f"(series tail {tail:.2e} > {TRUST_TAIL_LIMIT:.0e}); use a smaller step "
             "or more series terms"
         )
 
-    best = None
-    best_ratio = -1.0
+    # u1 stands in when no combination has a ratio; verify_particular rejects it
+    best, best_ratio = (1.0, 0.0, u1), -1.0
     for c1, c2 in _SHIFT_COMBINATIONS:
         fv = c1 * u1 + c2 * u2
         max_abs = float(np.abs(fv).max())
@@ -387,11 +384,6 @@ def shift_basis(basis, new_center, n_terms=None):
         if ratio > best_ratio:
             best_ratio = ratio
             best = (c1, c2, fv)
-    if not best_ratio > EPS_F_FACTOR:  # also when no combination was usable
-        raise ShiftFailureError(
-            f"no combination yields a nonvanishing solution at center {new_center} "
-            f"(best min/max ratio {best_ratio:.2e}); try a smaller displacement"
-        )
     c1, c2, fv = best
     pfv = c1 * pu1 + c2 * pu2
 
@@ -404,6 +396,11 @@ def shift_basis(basis, new_center, n_terms=None):
     basis.release()
     try:
         shifted = build_basis(ps, basis.samples, n_terms)
+    except NonvanishingError as exc:
+        raise ShiftFailureError(
+            f"no combination yields a nonvanishing solution at center {new_center}: "
+            f"{exc}; try a smaller displacement"
+        ) from exc
     except ParticularResidualError as exc:
         # the recentred solution does not satisfy its equation to tolerance:
         # the shift itself failed (accumulated roundoff or resolution limit)

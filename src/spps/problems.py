@@ -141,6 +141,8 @@ class SolverConfig:
             raise ProblemFormatError(f"delta must be finite, got {self.delta}")
         if not self.accept_threshold > 0:  # also catches NaN
             raise ProblemFormatError("accept_threshold must be positive")
+        if not self.accept_threshold < 1:  # the residual |c0|/max|c_k| never exceeds 1
+            raise ProblemFormatError("accept_threshold must be below 1")
         # the power set: two families of 2N+2 rows over at least M+1 nodes
         samples = 2 * (2 * self.n_terms + 2) * (self.mesh_m + 1)
         if samples > _MAX_SAMPLES:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import spps.basis
+import spps.powers
 from spps.basis import (
     ParticularSolution,
     build_basis,
@@ -13,6 +14,7 @@ from spps.basis import (
     particular_from_samples,
     particular_residual,
     shift_basis,
+    verify_particular,
 )
 from spps.errors import (
     NonvanishingError,
@@ -140,23 +142,51 @@ def test_seed_built_at_bounded_order(bundled_problem, monkeypatch, name, order):
     assert short.pf_prime.values.tobytes() == full.pf_prime.values.tobytes()
 
 
-def test_seed_falls_back_to_full_order(bundled_problem, monkeypatch):
+def test_failing_seed_is_built_once(bundled_problem, monkeypatch):
     def failing(samples, ps):
         raise ParticularResidualError("forced failure")
 
     samples = sample_problem(bundled_problem("example4"), 2000)
     monkeypatch.setattr(spps.basis, "verify_particular", failing)
     orders = _record_orders(monkeypatch)
-    with pytest.raises(SeedFailureError) as fallback:
+    with pytest.raises(SeedFailureError, match="seed series did not converge"):
         build_seed_solution(samples, 40)
-    assert orders == [14, 40]
-    # the message is the one a build at the cap alone gives
-    monkeypatch.setattr(spps.basis, "_growth_bounds", _never_below)
-    with pytest.raises(SeedFailureError) as full:
-        build_seed_solution(samples, 40)
-    assert orders == [14, 40, 40]
-    assert str(fallback.value) == str(full.value)
-    assert "seed series did not converge" in str(full.value)
+    # no second build at the cap: it would give the same candidates
+    assert orders == [14]
+
+
+def test_seed_falls_through_to_a_later_stock_pair(bundled_problem, monkeypatch):
+    samples = sample_problem(bundled_problem("example4"), 2000)
+    default = build_seed_solution(samples, 40)
+
+    counts = {"indefinite_integral": 0, "verify_particular": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [
+        (spps.basis, "indefinite_integral"),
+        (spps.powers, "indefinite_integral"),
+        (spps.basis, "verify_particular"),
+    ]:
+        counting(module, name)
+    orders = _record_orders(monkeypatch)
+    # y2 is 0 at a, so (0, 1) vanishes and the seed falls through to (1, i)
+    stock = spps.basis._SEED_COMBINATIONS
+    monkeypatch.setattr(spps.basis, "_SEED_COMBINATIONS", ((0.0, 1.0),) + stock)
+    seed = build_seed_solution(samples, 40)
+    assert seed.f.values.tobytes() == default.f.values.tobytes()
+    assert seed.pf_prime.values.tobytes() == default.pf_prime.values.tobytes()
+    assert counts["verify_particular"] == 2
+    # every check integrates its residual, the rejected pair's too
+    (n,) = orders
+    assert counts["indefinite_integral"] == 2 * (2 * n + 1) + counts["verify_particular"]
 
 
 def test_user_airy_particular_verifies(bundled_problem):
@@ -195,6 +225,21 @@ def test_nearly_vanishing_user_f_rejected():
     pf = sample_piecewise([parse("1")], samples.mesh)
     with pytest.raises(NonvanishingError):
         particular_from_samples(samples, f, pf)
+
+
+def test_nearly_vanishing_f_rejected_after_its_residual():
+    # f = x - c solves u'' = 0, so only the nonvanishing check can reject it
+    samples = unit_samples(200)
+    xs = samples.mesh.xs
+    ps = ParticularSolution(
+        f=SampledFunction(samples.mesh, (xs - (xs[100] + 1e-13)).astype(np.complex128)),
+        pf_prime=constant_function(samples.mesh, 1.0),
+        lambda_star=0.0,
+    )
+    residual, scale = particular_residual(samples, ps)
+    assert residual <= 1e-9 * scale
+    with pytest.raises(NonvanishingError, match="nearly vanishes"):
+        verify_particular(samples, ps)
 
 
 def test_unit_series_converges_to_cosh_sinh(unit_basis):
@@ -266,6 +311,24 @@ def test_shift_to_first_eigenvalue_recenters(step_setup):
 def test_shift_beyond_trust_region_fails(unit_basis):
     with pytest.raises(ShiftFailureError, match="trust region"):
         shift_basis(unit_basis, 1e6)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("target", [1e25, 1e100, math.nan], ids=["1e25", "1e100", "nan"])
+def test_shift_overflowing_the_series_leaves_trust_region(unit_basis, target):
+    # the sums overflow (or mu is NaN): the tail must not read as converged,
+    # as it did at 1e25 (0.0) and at 1e100 (NaN)
+    u1 = evaluate_solution(unit_basis, target)[0]
+    assert not np.isfinite(u1).all()
+    with pytest.raises(ShiftFailureError, match="leaves the trust region"):
+        shift_basis(unit_basis, target)
+
+
+def test_nan_tail_leaves_trust_region(unit_basis, monkeypatch):
+    # a NaN tail fails the trust check even where the sums are finite
+    monkeypatch.setattr(spps.basis, "_tail_indicator", lambda *args: math.nan)
+    with pytest.raises(ShiftFailureError, match="leaves the trust region"):
+        shift_basis(unit_basis, 0.5)
 
 
 @pytest.mark.parametrize("name", ["trivial", "example4"])

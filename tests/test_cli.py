@@ -345,6 +345,17 @@ def test_count_expands_at_the_contour_center():
     assert proc.stdout.strip() == "1"
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("center", ["1e15", "1e100"])
+def test_count_center_overflowing_the_series_exit_3(capsys, center):
+    # there the series sums overflow; that leaves the trust region too
+    code, out, err = run_cli(capsys, "count", TRIVIAL, "--center", center, "--radius", "5")
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        f"solver error: shift from 0j to {complex(float(center))} leaves the trust region"
+    )
+
+
 def test_solve_short_sweep_prints_table_and_exit_3(tmp_path):
     # with delta = 20 the walk stops on a failed shift after five eigenvalues
     out_file = tmp_path / "table.csv"
@@ -475,6 +486,19 @@ def test_solve_nan_threshold_exit_2(capsys):
     assert code == 2
     assert err == "error: accept_threshold must be positive\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("threshold", ["1", "inf"])
+def test_solve_threshold_not_below_1_exit_2(capsys, threshold):
+    # the validation residual |c0|/max|c_k| is at most 1: such a threshold checks nothing
+    code, out, err = run_cli(capsys, "solve", TRIVIAL, "--threshold", threshold, "--max-eigs", "2")
+    assert (code, out, err) == (2, "", "error: accept_threshold must be below 1\n")
+
+
+def test_solve_file_threshold_not_below_1_exit_2(capsys, tmp_path):
+    variant = _trivial_variant(tmp_path, "accept_threshold = 1e-8", "accept_threshold = 2")
+    code, out, err = run_cli(capsys, "solve", variant)
+    assert (code, out, err) == (2, "", "error: accept_threshold must be below 1\n")
 
 
 def test_help_lists_the_five_commands(capsys):

@@ -8,11 +8,13 @@ from spps import cli as cli_module
 from spps import problems as problems_module
 from spps import spectral as spectral_module
 from spps.basis import ParticularSolution, build_basis, evaluate_solution, shift_basis
+from spps.mesh import SampledFunction, constant_function
 from spps.errors import (
     ConfigurationError,
     ContourError,
     DegeneratePolynomialError,
     InputError,
+    NonvanishingError,
     ParticularResidualError,
     ProblemFormatError,
     SweepStalledError,
@@ -572,6 +574,24 @@ def test_handed_in_start_failing_its_equation_is_rejected(bundled_problem, monke
     power_builds = track_power_sets(monkeypatch)
     with pytest.raises(ParticularResidualError):
         sweep_eigenvalues(problem, config, particular=bad)
+    assert power_builds == []
+
+
+def test_handed_in_start_nearly_vanishing_is_rejected(monkeypatch):
+    problem = plain_problem(m=200)
+    config, samples, _, _, _ = prepare(problem)
+    xs = samples.mesh.xs
+    # f = x - c solves u'' = 0; c sits 1e-13 past a node, so no node is a zero
+    f = (xs - (xs[100] + 1e-13)).astype(np.complex128)
+    assert np.abs(f).min() <= 1e-10 * np.abs(f).max() and np.all(f != 0)
+    near_zero = ParticularSolution(
+        f=SampledFunction(samples.mesh, f),
+        pf_prime=constant_function(samples.mesh, 1.0),
+        lambda_star=0.0,
+    )
+    power_builds = track_power_sets(monkeypatch)
+    with pytest.raises(NonvanishingError):
+        sweep_eigenvalues(problem, config, particular=near_zero)
     assert power_builds == []
 
 

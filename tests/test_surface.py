@@ -72,16 +72,20 @@ def test_module_imports_are_layered():
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
+def _module_trees():
+    package = ROOT / "src" / "spps"
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")
+    }
+
+
 def _attributes_read(tree):
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def test_only_basis_reads_power_rows():
     """``.tilde``/``.plain`` are read where rows are made or printed, and in ``basis``."""
-    package = ROOT / "src" / "spps"
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")
-    }
+    trees = _module_trees()
     readers = {name for name, tree in trees.items() if {"tilde", "plain"} & _attributes_read(tree)}
     assert readers <= {"powers", "basis", "cli"}
     spectral = trees["spectral"]
@@ -91,3 +95,22 @@ def test_only_basis_reads_power_rows():
         for alias in node.names
     }
     assert "build_basis" not in imported
+
+
+def _reads(node, name):
+    return [
+        n for n in ast.walk(node)
+        if isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute) and n.attr == name
+    ]
+
+
+def test_only_verify_particular_reads_the_nonvanishing_threshold():
+    """``EPS_F_FACTOR`` is compared in one place: ``basis.verify_particular``."""
+    trees = _module_trees()
+    (verify,) = [
+        fn for fn in ast.walk(trees["basis"])
+        if isinstance(fn, ast.FunctionDef) and fn.name == "verify_particular"
+    ]
+    everywhere = sum(len(_reads(tree, "EPS_F_FACTOR")) for tree in trees.values())
+    assert everywhere == len(_reads(verify, "EPS_F_FACTOR")) == 1
