@@ -9,12 +9,7 @@ roots of a truncated characteristic polynomial, refined and validated by
 recentring the series (spectral shift).
 """
 
-from .basis import (
-    build_basis,
-    build_seed_solution,
-    evaluate_solution,
-    shift_basis,
-)
+from .basis import build_seed_solution, evaluate_solution, shift_basis
 from .errors import InputError, SolverError, SppsError
 from .mesh import (
     Interval,
@@ -56,7 +51,6 @@ __all__ = [
     "indefinite_integral",
     "compute_formal_powers",
     "build_seed_solution",
-    "build_basis",
     "evaluate_solution",
     "shift_basis",
     "BoundaryCondition",

@@ -16,7 +16,8 @@ The seed construction solves the lambda*=0 equation by running the same
 recursion with f == 1 and -q in place of r, evaluating both series at
 lambda = 1, and mixing them so the combination never vanishes.  Shifting
 to a new center evaluates the current basis there, picks a nonvanishing
-combination, and rebuilds the powers on it.
+combination, checks it, and only then frees the old rows and builds the
+powers on it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "verify_particular",
     "build_seed_solution",
     "particular_from_samples",
-    "build_basis",
     "evaluate_solution",
     "shift_basis",
 ]
@@ -83,10 +83,11 @@ class SppsBasis:
 
     A handle: the constructor builds the power rows at order ``n_terms`` and
     does not verify the particular solution (``prepare`` checks the start,
-    ``build_basis`` a recentred one).  ``release`` frees the rows, which are
-    rebuilt at the same order, bit for bit, when next read; ``grow`` raises
-    the order.  ``shift_tail`` is the truncation tail of the basis this one
-    was shifted from, evaluated at the new center (0.0 for a basis built
+    ``shift_basis`` a recentred one before it constructs its basis).  The
+    order rises only through ``grow``.  ``shift_basis`` frees the rows of
+    the basis it leaves; they are rebuilt at the same order, bit for bit,
+    when next read.  ``shift_tail`` is the truncation tail of the basis this
+    one was shifted from, evaluated at the new center (0.0 for a basis built
     directly).
     """
 
@@ -114,7 +115,7 @@ class SppsBasis:
             self._build()
         return self._powers
 
-    def release(self):
+    def _release(self):
         """Free the power rows; the next read of ``powers`` rebuilds them."""
         self._powers = None
 
@@ -125,7 +126,7 @@ class SppsBasis:
         build at ``n_terms`` bit for bit.
         """
         if n_terms > self.n_terms:
-            self.release()
+            self._release()
             self.n_terms = n_terms
             self._build()
 
@@ -279,12 +280,6 @@ def build_seed_solution(samples, n_terms):
     )
 
 
-def build_basis(particular, samples, n_terms):
-    """Verify ``particular``, then build its formal powers (an SppsBasis)."""
-    verify_particular(samples, particular)
-    return SppsBasis(particular, samples, n_terms)
-
-
 def _horner_rows(rows, mu, count):
     """sum_{k<count} mu^k rows[k] over the row axis, by Horner."""
     acc = rows[count - 1].copy()
@@ -300,6 +295,7 @@ def evaluate_solution(basis, lam):
     Returns ``(u1, pu1, u2, pu2, tail)``: four arrays on the expanded grid and
     the larger of the two series tails.  Any complex lambda is accepted; accuracy
     degrades away from the center, as ``tail`` reports (``_tail_indicator``).
+    A sum that overflows gives an infinite tail, and no warning.
     """
     n = basis.n_terms
     mu = complex(lam) - basis.center
@@ -307,19 +303,21 @@ def evaluate_solution(basis, lam):
     fv = basis.particular.f.values
     pfv = basis.particular.pf_prime.values
 
-    even = _horner_rows(fp.tilde[0::2], mu, n + 1)
-    u1 = fv * even
-    pu1 = pfv * even
-    if n >= 1:
-        odd = _horner_rows(fp.tilde[1::2], mu, n)
-        pu1 = pu1 + (mu / fv) * odd
-    tail1 = _tail_indicator(mu, n, fp.tilde[2 * n], even)
+    # an overflow is reported through the tail, which every caller checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        even = _horner_rows(fp.tilde[0::2], mu, n + 1)
+        u1 = fv * even
+        pu1 = pfv * even
+        if n >= 1:
+            odd = _horner_rows(fp.tilde[1::2], mu, n)
+            pu1 = pu1 + (mu / fv) * odd
+        tail1 = _tail_indicator(mu, n, fp.tilde[2 * n], even)
 
-    odd = _horner_rows(fp.plain[1::2], mu, n + 1)
-    even = _horner_rows(fp.plain[0::2], mu, n + 1)
-    u2 = fv * odd
-    pu2 = pfv * odd + even / fv
-    tail2 = _tail_indicator(mu, n, fp.plain[2 * n + 1], odd)
+        odd = _horner_rows(fp.plain[1::2], mu, n + 1)
+        even = _horner_rows(fp.plain[0::2], mu, n + 1)
+        u2 = fv * odd
+        pu2 = pfv * odd + even / fv
+        tail2 = _tail_indicator(mu, n, fp.plain[2 * n + 1], odd)
 
     return u1, pu1, u2, pu2, max(tail1, tail2)
 
@@ -348,23 +346,22 @@ def _tail_indicator(mu, n, last_row, series_sum):
 def shift_basis(basis, new_center, n_terms=None):
     """Recentre the basis at ``new_center``, rebuilt with ``n_terms`` powers.
 
-    Evaluates both solutions there, picks the combination c1*u1 + c2*u2
-    maximising min|f*|/max|f*|, releases the rows of ``basis`` and only then
-    rebuilds the powers on that combination, so one power set is alive at a
-    time; ``build_basis`` verifies the recentred particular solution, once,
-    and a failure of either invariant raises ShiftFailureError.
-    ``n_terms`` defaults to the basis's own order.  When a shorter basis's
-    tail at ``new_center`` exceeds EXACT_TAIL, its rows are released and a
-    handle at ``n_terms`` on the same particular solution evaluates instead;
-    the caller's basis keeps its order.  The returned basis carries the
-    series tail at ``new_center`` as ``shift_tail``.
+    Evaluates both solutions there and picks the combination c1*u1 + c2*u2
+    maximising min|f*|/max|f*|.  ``verify_particular`` checks it, once,
+    while ``basis`` still holds its rows: a failure of either invariant
+    raises ShiftFailureError and leaves ``basis`` as it was.  Only then are
+    the rows of ``basis`` freed and the powers built on the combination, so
+    one power set is alive at a time.  ``n_terms`` defaults to the basis's
+    own order; when a shorter basis's tail at ``new_center`` exceeds
+    EXACT_TAIL, ``basis`` grows to ``n_terms`` and evaluates again.  The
+    returned basis carries the series tail at ``new_center`` as
+    ``shift_tail``.
     """
     new_center = complex(new_center)
     n_terms = basis.n_terms if n_terms is None else n_terms
     u1, pu1, u2, pu2, tail = evaluate_solution(basis, new_center)
     if basis.n_terms < n_terms and tail > EXACT_TAIL:
-        basis.release()
-        basis = SppsBasis(basis.particular, basis.samples, n_terms)
+        basis.grow(n_terms)
         u1, pu1, u2, pu2, tail = evaluate_solution(basis, new_center)
     if not tail <= TRUST_TAIL_LIMIT:  # also catches NaN
         raise ShiftFailureError(
@@ -393,9 +390,8 @@ def shift_basis(basis, new_center, n_terms=None):
         pf_prime=SampledFunction(mesh, pfv),
         lambda_star=new_center,
     )
-    basis.release()
     try:
-        shifted = build_basis(ps, basis.samples, n_terms)
+        verify_particular(basis.samples, ps)
     except NonvanishingError as exc:
         raise ShiftFailureError(
             f"no combination yields a nonvanishing solution at center {new_center}: "
@@ -408,5 +404,7 @@ def shift_basis(basis, new_center, n_terms=None):
             f"shift from {basis.center} to {new_center} lost accuracy: {exc}; "
             "use a smaller displacement, more series terms, or a finer mesh"
         ) from exc
+    basis._release()
+    shifted = SppsBasis(ps, basis.samples, n_terms)
     shifted.shift_tail = tail
     return shifted

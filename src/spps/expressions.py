@@ -31,16 +31,10 @@ from .errors import (
 
 __all__ = [
     "Expression",
-    "Num",
-    "Var",
-    "Neg",
     "Bin",
-    "Pow",
-    "Call",
     "parse",
     "evaluate",
     "const_value",
-    "is_constant",
     "to_string",
 ]
 
@@ -59,17 +53,17 @@ class Expression:
 
 
 @dataclass(frozen=True)
-class Num(Expression):
+class _Num(Expression):
     value: complex
 
 
 @dataclass(frozen=True)
-class Var(Expression):
+class _Var(Expression):
     pass
 
 
 @dataclass(frozen=True)
-class Neg(Expression):
+class _Neg(Expression):
     operand: Expression
 
 
@@ -81,13 +75,13 @@ class Bin(Expression):
 
 
 @dataclass(frozen=True)
-class Pow(Expression):
+class _Pow(Expression):
     base: Expression
     exponent: float
 
 
 @dataclass(frozen=True)
-class Call(Expression):
+class _Call(Expression):
     name: str
     arg: Expression
 
@@ -186,7 +180,7 @@ class _Parser:
     def parse_unary(self):
         if self.peek()[1] == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            return _Neg(self.parse_unary())
         base = self.parse_atom()
         if self.peek()[1] != "^":
             return base
@@ -198,28 +192,28 @@ class _Parser:
             raise ExpressionSyntaxError("exponent must be a constant", pos) from None
         if value.imag != 0.0:
             raise ExpressionSyntaxError("exponent must be real", pos)
-        return Pow(base, float(value.real))
+        return _Pow(base, float(value.real))
 
     def parse_atom(self):
         kind, text, pos = self.advance()
         if kind == "num":
             if text.endswith("i"):
-                return Num(float(text[:-1]) * 1j)
-            return Num(complex(float(text)))
+                return _Num(float(text[:-1]) * 1j)
+            return _Num(complex(float(text)))
         if kind == "lparen":
             node = self.parse_expr()
             self.expect("rparen")
             return node
         if kind == "ident":
             if text == "x":
-                return Var()
+                return _Var()
             if text == "i":
-                return Num(1j)
+                return _Num(1j)
             if text in _FUNCTIONS:
                 self.expect("lparen")
                 arg = self.parse_expr()
                 self.expect("rparen")
-                return Call(text, arg)
+                return _Call(text, arg)
             raise UnknownIdentifierError(text, pos)
         raise ExpressionSyntaxError(f"unexpected token {text!r}", pos)
 
@@ -256,11 +250,11 @@ def evaluate(expr, x):
 
 
 def _eval(expr, xv):
-    if isinstance(expr, Num):
+    if isinstance(expr, _Num):
         return np.complex128(expr.value)
-    if isinstance(expr, Var):
+    if isinstance(expr, _Var):
         return xv
-    if isinstance(expr, Neg):
+    if isinstance(expr, _Neg):
         return -_eval(expr.operand, xv)
     if isinstance(expr, Bin):
         left = _eval(expr.left, xv)
@@ -277,7 +271,7 @@ def _eval(expr, xv):
                 "division by zero", node=to_string(expr), x=_first_offender(xv, bad)
             )
         return left / right
-    if isinstance(expr, Pow):
+    if isinstance(expr, _Pow):
         base = _eval(expr.base, xv)
         if float(expr.exponent).is_integer():
             exponent = int(expr.exponent)
@@ -291,7 +285,7 @@ def _eval(expr, xv):
                     )
             return base**exponent
         return base ** complex(expr.exponent)
-    if isinstance(expr, Call):
+    if isinstance(expr, _Call):
         return _FUNCTIONS[expr.name](_eval(expr.arg, xv))
     raise TypeError(f"not an expression node: {expr!r}")
 
@@ -304,18 +298,18 @@ def _first_offender(xv, bad):
     return complex(xv)
 
 
-def is_constant(expr):
+def _is_constant(expr):
     """True when the tree does not reference the variable ``x``."""
     if not isinstance(expr, Expression):
         raise TypeError(f"not an expression node: {expr!r}")
-    return not isinstance(expr, Var) and all(
-        is_constant(child) for child in vars(expr).values() if isinstance(child, Expression)
+    return not isinstance(expr, _Var) and all(
+        _is_constant(child) for child in vars(expr).values() if isinstance(child, Expression)
     )
 
 
 def const_value(expr):
     """Evaluate a constant expression; raises if it references ``x``."""
-    if not is_constant(expr):
+    if not _is_constant(expr):
         raise EvaluationError("expression is not constant", node=to_string(expr))
     return complex(evaluate(expr, 0.0))
 
@@ -329,13 +323,13 @@ def to_string(expr):
 
 
 def _fmt(expr, parent_prec):
-    if isinstance(expr, Num):
+    if isinstance(expr, _Num):
         text = _fmt_number(expr.value)
         prec = _PREC["atom"] if not text.startswith("-") else _PREC["neg"]
         return _paren(text, prec, parent_prec)
-    if isinstance(expr, Var):
+    if isinstance(expr, _Var):
         return "x"
-    if isinstance(expr, Neg):
+    if isinstance(expr, _Neg):
         inner = _fmt(expr.operand, _PREC["neg"])
         return _paren(f"-{inner}", _PREC["neg"], parent_prec)
     if isinstance(expr, Bin):
@@ -344,13 +338,13 @@ def _fmt(expr, parent_prec):
         # left-associative: right operand needs strictly higher precedence
         right = _fmt(expr.right, prec + 1)
         return _paren(f"{left} {expr.op} {right}", prec, parent_prec)
-    if isinstance(expr, Pow):
+    if isinstance(expr, _Pow):
         base = _fmt(expr.base, _PREC["^"] + 1)
         exponent = f"{expr.exponent:.17g}"
         if exponent.startswith("-"):
             exponent = f"({exponent})"
         return _paren(f"{base}^{exponent}", _PREC["^"], parent_prec)
-    if isinstance(expr, Call):
+    if isinstance(expr, _Call):
         return f"{expr.name}({_fmt(expr.arg, 0)})"
     raise TypeError(f"not an expression node: {expr!r}")
 

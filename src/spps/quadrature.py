@@ -25,10 +25,10 @@ import numpy as np
 
 from .mesh import SampledFunction
 
-__all__ = ["derive_partial_weights", "indefinite_integral", "l1_norm"]
+__all__ = ["indefinite_integral", "l1_norm"]
 
 
-def derive_partial_weights():
+def _derive_partial_weights():
     """Integration weights on the unit-spaced nodes 0..5, read-only (5, 6).
 
     Row ``j-1`` holds the exact integrals from 0 to j of the six Lagrange
@@ -64,7 +64,7 @@ def _lagrange_coeffs(k):
 
 
 # (6, 5), contiguous and complex, so the matmul casts nothing per call
-_PW_T = derive_partial_weights().T.astype(np.complex128)
+_PW_T = _derive_partial_weights().T.astype(np.complex128)
 
 
 def _workspace(mesh):

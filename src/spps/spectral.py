@@ -28,10 +28,14 @@ candidate, it grows to twice its order (capped at full order) before that
 candidate is validated; when it stalls, to full order.
 
 One power set is alive at a time: every shift and growth frees the rows
-it starts from before it builds.  A main basis is rebuilt on its particular
-solution, at its order, when it is read again: after a candidate fails
-validation, and under ``fixed_center`` once per eigenvalue.  ``prepare``
-has verified the start, so the first basis is an unchecked ``SppsBasis``.
+it starts from before it builds.  A shift checks its recentred particular
+solution before it frees its source, so a failed check leaves the main
+basis's rows in place; a validation shift that needs more terms than the
+main basis has grows that basis.  A main basis is rebuilt on its particular
+solution, at its order, when it is read again: after a validation basis
+built from it is rejected, and under ``fixed_center`` once per eigenvalue.
+``prepare`` has verified the start, so the first basis is an unchecked
+``SppsBasis``.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ __all__ = [
     "sweep_eigenvalues",
     "characteristic_at",
     "landscape_of",
-    "is_real_problem",
 ]
 
 # coefficients below this (relative to the largest) add nothing inside the
@@ -99,9 +102,11 @@ class CharacteristicPolynomial:
         object.__setattr__(self, "scale", float(np.abs(coeffs).max()) if coeffs.size else 0.0)
 
     def evaluate(self, lam):
-        """Horner evaluation at scalar or array lambda."""
+        """Horner evaluation at scalar or array lambda; an overflow gives inf or NaN."""
         mu = np.asarray(lam, dtype=np.complex128) - self.center
-        acc = polyval(mu, self.coeffs)
+        # every caller turns a non-finite value into a typed error
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = polyval(mu, self.coeffs)
         if np.ndim(lam) == 0:
             return complex(acc)
         return acc
@@ -279,7 +284,7 @@ def count_zeros(phi_evaluator, center, radius, samples=512):
         n *= 2
 
 
-def is_real_problem(samples, bc_left, bc_right, delta=0.0):
+def _is_real_problem(samples, bc_left, bc_right, delta=0.0):
     """True when all inputs are real, so the spectrum is conjugate-symmetric."""
     return (
         float(np.abs(samples.p.values.imag).max()) == 0.0
@@ -348,7 +353,7 @@ def sweep_eigenvalues(problem, config=None, particular=None):
             except ShiftFailureError:
                 break  # cannot continue the walk; report what was found
 
-    if is_real_problem(samples, bc_left, bc_right, config.delta):
+    if _is_real_problem(samples, bc_left, bc_right, config.delta):
         records = _sorted_by_real_part(records)
     return records
 
@@ -364,7 +369,9 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
     basis that stalls raises ``SweepStalledError``.
     """
     n_full = config.n_terms
-    short = basis.n_terms < n_full
+    # phi's order: a validation shift may grow the basis past it
+    n_main = basis.n_terms
+    short = n_main < n_full
     candidates = roots_of(phi)
     order = np.argsort(np.abs(candidates - basis.center))
     n_valid = _validation_order(phi, config)
@@ -375,8 +382,8 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
         if _is_duplicate(cand, found):
             continue
         reach = abs(cand - basis.center)
-        if short and reach > 0 and _counting_terms(phi, reach)[basis.n_terms]:
-            basis.grow(min(n_full, max(1, 2 * basis.n_terms)))
+        if short and reach > 0 and _counting_terms(phi, reach)[n_main]:
+            basis.grow(min(n_full, max(1, 2 * n_main)))
             return None
         try:
             vbasis = shift_basis(basis, cand, n_terms=n_valid)
@@ -520,9 +527,10 @@ def landscape_of(phi, center, radius, grid):
     """Sample -log|Phi| on a grid covering the disk's bounding square.
 
     Rows are ordered by decreasing imaginary part.  Points where Phi
-    underflows to zero are clamped to LANDSCAPE_CAP.  Returns the matrix
-    and a metadata dict including the trust radius and how much of the
-    grid lies beyond it.
+    underflows to zero are clamped to LANDSCAPE_CAP; a Phi that overflows
+    anywhere on the grid raises ContourError.  Returns the matrix and a
+    metadata dict including the trust radius and how much of the grid lies
+    beyond it.
     """
     if not 0.0 < radius < math.inf:  # also catches NaN
         raise InputError(f"radius must be positive and finite, got {radius}")
@@ -536,10 +544,12 @@ def landscape_of(phi, center, radius, grid):
     re = np.linspace(center.real - radius, center.real + radius, grid)
     im = np.linspace(center.imag + radius, center.imag - radius, grid)
     z = re[None, :] + 1j * im[:, None]
-    vals = phi.evaluate(z)
-    with np.errstate(divide="ignore"):
-        height = -np.log(np.abs(vals))
-    height[~np.isfinite(height)] = LANDSCAPE_CAP
+    with np.errstate(over="ignore", divide="ignore"):
+        magnitude = np.abs(phi.evaluate(z))
+        height = -np.log(magnitude)
+    if not np.all(np.isfinite(magnitude)):
+        raise ContourError("characteristic function not finite on the landscape grid")
+    height[magnitude == 0] = LANDSCAPE_CAP
     trust = phi.trust_radius()
     outside = float(np.mean(np.abs(z - center) > trust))
     meta = {

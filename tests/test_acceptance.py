@@ -15,7 +15,7 @@ import pytest
 
 from spps.basis import (
     ParticularSolution,
-    build_basis,
+    SppsBasis,
     evaluate_solution,
 )
 from spps.mesh import SampledFunction
@@ -132,7 +132,7 @@ def test_criterion_3_layered_complex_table(sweep_cache):
 def test_criterion_4_zero_count_disk_45(bundled_problem):
     problem = bundled_problem("example2_complex")
     config, samples, bcl, bcr, start = prepare(problem, None, None)
-    basis = build_basis(start, samples, config.n_terms)
+    basis = SppsBasis(start, samples, config.n_terms)
     phi = assemble_characteristic(basis, bcl, bcr)
     count = count_zeros(phi.evaluate, 0.0, 45.0, samples=512)
 
@@ -232,7 +232,7 @@ def test_criterion_7_property_suite(bundled_problem):
     for name in fixture_names:
         problem = with_overrides(bundled_problem(name), mesh_m=PROPERTY_MESH[name])
         config, samples, bcl, bcr, start = prepare(problem, None, None)
-        basis = build_basis(start, samples, config.n_terms)
+        basis = SppsBasis(start, samples, config.n_terms)
 
         # anchor zeros are exact at every order
         assert np.all(basis.powers.tilde[1:, 0] == 0.0)

@@ -8,7 +8,7 @@ import spps.basis
 import spps.powers
 from spps.basis import (
     ParticularSolution,
-    build_basis,
+    SppsBasis,
     build_seed_solution,
     evaluate_solution,
     particular_from_samples,
@@ -43,14 +43,14 @@ def unit_basis():
     f = constant_function(samples.mesh, 1.0)
     pf = constant_function(samples.mesh, 0.0)
     ps = particular_from_samples(samples, f, pf)
-    return build_basis(ps, samples, 14)
+    return SppsBasis(ps, samples, 14)
 
 
 @pytest.fixture(scope="module")
 def step_setup():
     problem = step_potential_problem(n_terms=40, m=2000)
     config, samples, bcl, bcr, start = prepare(problem, None, None)
-    return problem, samples, bcl, bcr, build_basis(start, samples, 40)
+    return problem, samples, bcl, bcr, SppsBasis(start, samples, 40)
 
 
 def test_seed_zero_potential_closed_form():
@@ -313,11 +313,11 @@ def test_shift_beyond_trust_region_fails(unit_basis):
         shift_basis(unit_basis, 1e6)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("target", [1e25, 1e100, math.nan], ids=["1e25", "1e100", "nan"])
 def test_shift_overflowing_the_series_leaves_trust_region(unit_basis, target):
-    # the sums overflow (or mu is NaN): the tail must not read as converged,
-    # as it did at 1e25 (0.0) and at 1e100 (NaN)
+    # the sums overflow (or mu is NaN), with no warning: the tail must not
+    # read as converged, as it did at 1e25 (0.0) and at 1e100 (NaN)
     u1 = evaluate_solution(unit_basis, target)[0]
     assert not np.isfinite(u1).all()
     with pytest.raises(ShiftFailureError, match="leaves the trust region"):
@@ -337,7 +337,7 @@ def test_shift_from_short_basis_equals_shift_from_full(bundled_problem, monkeypa
 
     config, samples, bcl, bcr, start = prepare(bundled_problem(name))
     n_full = config.n_terms
-    basis = build_basis(start, samples, n_full)
+    basis = SppsBasis(start, samples, n_full)
     roots = roots_of(assemble_characteristic(basis, bcl, bcr))
     cand = complex(roots[np.argmin(np.abs(roots - basis.center))])
     short = shift_basis(basis, cand, n_terms=10)
@@ -348,9 +348,11 @@ def test_shift_from_short_basis_equals_shift_from_full(bundled_problem, monkeypa
     for step in (1e-12, 0.3, 3.0):
         orders.clear()
         from_short = shift_basis(short, cand + step, n_terms=n_full)
-        # the short series could not reach: a full-order handle evaluates first
-        # (a build at 10 is the short rows read again after their release)
+        # the short series could not reach: the source grows to full order and
+        # evaluates again (a build at 10 is the short rows read again after
+        # their release)
         rebuilt = orders.count(n_full) == 2
+        assert short.n_terms == (n_full if rebuilt else 10)
         from_full = shift_basis(full, cand + step)
         assert from_short.n_terms == n_full
         assert np.array_equal(from_short.powers.tilde, from_full.powers.tilde)
@@ -363,7 +365,7 @@ def test_grow_builds_the_longer_rows_alone_and_unverified(monkeypatch):
     samples = unit_samples(200)
     ones = constant_function(samples.mesh, 1.0)
     ps = particular_from_samples(samples, ones, constant_function(samples.mesh, 0.0))
-    basis = shift_basis(build_basis(ps, samples, 14), 0.5, n_terms=6)
+    basis = shift_basis(SppsBasis(ps, samples, 14), 0.5, n_terms=6)
     tail, rows = basis.shift_tail, basis.powers
     assert tail > 0
     for n in (6, 3):  # no higher order: nothing happens
@@ -382,7 +384,7 @@ def test_grow_builds_the_longer_rows_alone_and_unverified(monkeypatch):
     assert (basis.n_terms, basis.shift_tail) == (12, tail)
 
     monkeypatch.undo()
-    built = build_basis(basis.particular, samples, 12)
+    built = SppsBasis(basis.particular, samples, 12)
     assert np.array_equal(basis.powers.tilde, built.powers.tilde)
     assert np.array_equal(basis.powers.plain, built.powers.plain)
 
@@ -392,7 +394,7 @@ def test_scheduled_shift_quality_gate():
     # must be ShiftFailureError, which the sweep treats as a graceful stop
     problem = vanishing_weight_problem(n_terms=40, m=1000)
     config, samples, _, _, start = prepare(problem, None, None)
-    basis = build_basis(start, samples, 40)
+    basis = SppsBasis(start, samples, 40)
     with pytest.raises(ShiftFailureError):
         for target in [17.89793137541756, 98.16027543604447, 256.2710801437674,
                        493.2013196148296, 809.0540168683802]:
@@ -412,7 +414,7 @@ def test_truncation_residual_off_center():
     samples = unit_samples(400)
     f = constant_function(samples.mesh, 1.0)
     pf = constant_function(samples.mesh, 0.0)
-    basis = build_basis(particular_from_samples(samples, f, pf), samples, 10)
+    basis = SppsBasis(particular_from_samples(samples, f, pf), samples, 10)
     assert truncation_residual(basis, 1.0, "first") <= 1e-9
     assert truncation_residual(basis, 1.0, "second") <= 1e-9
 
@@ -428,13 +430,14 @@ def test_scaled_particular_changes_series_not_solutions():
     # residual identity at the same lambda
     problem = step_potential_problem(m=1000)
     _, samples, _, _, start = prepare(problem, None, None)
-    basis = build_basis(start, samples, 30)
+    basis = SppsBasis(start, samples, 30)
     scaled_ps = ParticularSolution(
         f=SampledFunction(samples.mesh, 2.0 * start.f.values),
         pf_prime=SampledFunction(samples.mesh, 2.0 * start.pf_prime.values),
         lambda_star=start.lambda_star,
     )
-    basis2 = build_basis(scaled_ps, samples, 30)
+    verify_particular(samples, scaled_ps)
+    basis2 = SppsBasis(scaled_ps, samples, 30)
     lam = 0.9
     r1 = truncation_residual(basis, lam, "first")
     r2 = truncation_residual(basis2, lam, "first")

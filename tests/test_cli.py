@@ -345,7 +345,7 @@ def test_count_expands_at_the_contour_center():
     assert proc.stdout.strip() == "1"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("center", ["1e15", "1e100"])
 def test_count_center_overflowing_the_series_exit_3(capsys, center):
     # there the series sums overflow; that leaves the trust region too
@@ -354,6 +354,29 @@ def test_count_center_overflowing_the_series_exit_3(capsys, center):
     assert err.startswith(
         f"solver error: shift from 0j to {complex(float(center))} leaves the trust region"
     )
+
+
+def test_count_overflow_prints_only_the_error_line():
+    # README's example: the sums overflow at 1e15, and no numpy warning is printed
+    proc = run_cli_process("count", TRIVIAL, "--center", "1e15", "--radius", "5")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "solver error: shift from 0j to (1000000000000000+0j) leaves the trust region "
+        "(series tail inf > 1e-10); use a smaller step or more series terms\n"
+    )
+
+
+def test_count_radius_overflowing_phi_prints_only_the_error_line():
+    proc = run_cli_process("count", TRIVIAL, "--radius", "1e300")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "solver error: characteristic function not finite on the contour\n"
+
+
+def test_landscape_radius_overflowing_phi_exit_3():
+    # an overflow is not drawn as an eigenvalue peak at LANDSCAPE_CAP
+    proc = run_cli_process("landscape", TRIVIAL, "--radius", "1e300", "--grid", "16")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "solver error: characteristic function not finite on the landscape grid\n"
 
 
 def test_solve_short_sweep_prints_table_and_exit_3(tmp_path):

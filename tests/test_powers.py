@@ -130,10 +130,10 @@ def test_bounds_order_zero_equality():
 def test_bounds_layered_problem():
     from util import layered_problem
     from spps.problems import prepare
-    from spps.basis import build_basis
+    from spps.basis import SppsBasis
 
     config, samples, _, _, start = prepare(layered_problem(n_terms=30, m=600), None, None)
-    basis = build_basis(start, samples, 30)
+    basis = SppsBasis(start, samples, 30)
     c1, c2 = check_bounds(basis.powers, start.f, samples.p, samples.r)
     assert c1 > 0 and c2 > 0 and np.isfinite(c1 + c2)
 

@@ -5,7 +5,7 @@ import pytest
 
 from spps.expressions import parse
 from spps.mesh import Interval, Piece, SampledFunction, build_mesh, constant_function
-from spps.quadrature import _workspace, derive_partial_weights, indefinite_integral, l1_norm
+from spps.quadrature import _derive_partial_weights, _workspace, indefinite_integral, l1_norm
 
 
 def _mesh(breaks, m):
@@ -15,7 +15,7 @@ def _mesh(breaks, m):
 
 
 def test_weights_exact_fractions():
-    w = derive_partial_weights()
+    w = _derive_partial_weights()
     expect_full = np.array([95 / 288, 125 / 96, 125 / 144, 125 / 144, 125 / 96, 95 / 288])
     assert w.shape == (5, 6)
     assert not w.flags.writeable
@@ -23,13 +23,13 @@ def test_weights_exact_fractions():
 
 
 def test_weights_integrate_constants():
-    w = derive_partial_weights()
+    w = _derive_partial_weights()
     sums = w.sum(axis=1)
     assert np.allclose(sums, [1, 2, 3, 4, 5], rtol=0, atol=1e-15)
 
 
 def test_weights_degree_five_exact():
-    w = derive_partial_weights()
+    w = _derive_partial_weights()
     t = np.arange(6.0)
     for j in range(1, 6):
         got = w[j - 1] @ (t**5)

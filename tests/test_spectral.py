@@ -7,7 +7,7 @@ from spps import basis as basis_module
 from spps import cli as cli_module
 from spps import problems as problems_module
 from spps import spectral as spectral_module
-from spps.basis import ParticularSolution, build_basis, evaluate_solution, shift_basis
+from spps.basis import ParticularSolution, SppsBasis, evaluate_solution, shift_basis
 from spps.mesh import SampledFunction, constant_function
 from spps.errors import (
     ConfigurationError,
@@ -17,6 +17,7 @@ from spps.errors import (
     NonvanishingError,
     ParticularResidualError,
     ProblemFormatError,
+    ShiftFailureError,
     SweepStalledError,
 )
 from spps.problems import (
@@ -56,7 +57,7 @@ from util import (
 def step_setup():
     problem = step_potential_problem(n_terms=40, m=2000)
     config, samples, bcl, bcr, start = prepare(problem, None, None)
-    return problem, samples, bcl, bcr, build_basis(start, samples, 40)
+    return problem, samples, bcl, bcr, SppsBasis(start, samples, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +80,7 @@ def test_bc_validation():
 def test_dirichlet_assembly_factorizes():
     problem = plain_problem(n_terms=10, m=100)
     config, samples, bcl, bcr, start = prepare(problem, None, None)
-    basis = build_basis(start, samples, 10)
+    basis = SppsBasis(start, samples, 10)
     phi = assemble_characteristic(basis, bcl, bcr)
     f_a = basis.particular.f.values[0]
     f_b = basis.particular.f.values[-1]
@@ -194,7 +195,7 @@ def test_quadratic_roots_recentred():
 def test_dirichlet_roots_against_sine_zeros():
     problem = plain_problem(n_terms=20, m=200)
     config, samples, bcl, bcr, start = prepare(problem, None, None)
-    basis = build_basis(start, samples, 20)
+    basis = SppsBasis(start, samples, 20)
     phi = assemble_characteristic(basis, bcl, bcr)
     roots = roots_of(phi)
     nearest = roots[np.argmin(np.abs(roots))]
@@ -317,6 +318,18 @@ def test_landscape_caps_at_exact_zero():
     assert height.max() == 308.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "coeffs, radius", [([1.0, 0.0, 1.0], 1e300), ([1.5e308 + 1.5e308j], 1.0)],
+    ids=["phi", "modulus"],
+)
+def test_landscape_rejects_a_non_finite_phi(coeffs, radius):
+    # Phi overflows on the grid, or only |Phi| does: no height is made up
+    phi = CharacteristicPolynomial(np.array(coeffs, dtype=complex), 0.0)
+    with pytest.raises(ContourError, match="not finite on the landscape grid"):
+        landscape_of(phi, 0.0, radius, 16)
+
+
 def test_landscape_constant():
     phi = CharacteristicPolynomial(np.array([2.0], dtype=complex), 0.0)
     height, meta = landscape_of(phi, 0.0, 1.0, 16)
@@ -342,7 +355,7 @@ def test_characteristic_at_shifted_center():
     assert phi.center == center
     config, samples, bcl, bcr, start = prepare(problem)
     assert start.lambda_star != center
-    basis = shift_basis(build_basis(start, samples, config.n_terms), center)
+    basis = shift_basis(SppsBasis(start, samples, config.n_terms), center)
     expect = assemble_characteristic(basis, bcl, bcr)
     assert np.array_equal(phi.coeffs, expect.coeffs)
 
@@ -487,7 +500,7 @@ def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, mo
     assert problem.solver.delta == 0
     config, _, _, _, start = prepare(problem)
 
-    calls = {"build_basis": 0, "shift_basis": 0, "evaluate_solution": 0, "verify_particular": 0}
+    calls = {"shift_basis": 0, "evaluate_solution": 0, "verify_particular": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -504,9 +517,9 @@ def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, mo
 
     records = sweep_eigenvalues(problem, config, particular=start)
     assert len(records) == 2
-    # one build and one evaluation per shift: the verified start is built
-    # on directly, and a shift evaluates both solutions in one call
-    assert calls["build_basis"] == calls["shift_basis"]
+    # one new basis and one evaluation per shift: the verified start is
+    # built on directly, and a shift evaluates both solutions in one call
+    assert sum(how == "new" for _, _, how in power_builds[1:]) == calls["shift_basis"]
     assert calls["evaluate_solution"] == calls["shift_basis"]
     # the start basis grows twice (6, 12 and 24 terms), then a validation
     # shift per eigenvalue plus the re-expansion at each refined value (the
@@ -598,7 +611,7 @@ def test_handed_in_start_nearly_vanishing_is_rejected(monkeypatch):
 @pytest.mark.parametrize("mu", [0.3, 1 + 0.5j])
 def test_endpoint_series_agree_with_the_mesh_evaluation(mu):
     _, samples, _, _, start = prepare(step_potential_problem(n_terms=12, m=400))
-    basis = build_basis(start, samples, 12)
+    basis = SppsBasis(start, samples, 12)
     at_a, at_b = basis.endpoint_series()
     on_mesh = evaluate_solution(basis, basis.center + mu)[:4]
     for series, values in zip(at_b, on_mesh):
@@ -694,6 +707,103 @@ def test_failed_validation_rebuilds_the_main_basis_alone(monkeypatch):
         for rec in records
     ]
     assert got == SCAN27_RECORDS
+
+
+# scan_small seed 1, case scan19 (perfbench/workloads.py): one validation
+# shift fails its particular-solution check
+SCAN19 = """\
+[interval]
+a = -1
+b = 1
+
+[piece]
+from = -1.0
+to = -0.359229
+p = "-1.8701"
+q = "4.6981"
+r = "1.9547"
+
+[piece]
+from = -0.359229
+to = 0.195804
+p = "-0.667"
+q = "-2.8481"
+r = "1.4267"
+
+[piece]
+from = 0.195804
+to = 0.671037
+p = "-1.9699"
+q = "0.4291"
+r = "1.5323"
+
+[piece]
+from = 0.671037
+to = 1.0
+p = "-1.4928"
+q = "-2.4091"
+r = "1.3124"
+
+[bc_left]
+alpha = 0.0
+beta = 1.0
+derivative = p_u_prime
+
+[bc_right]
+alpha = 1.0
+beta = 0.0
+derivative = p_u_prime
+
+[solver]
+max_eigenvalues = 6
+"""
+# float.hex of (lam, center_used, validation_residual, tail_indicator), as
+# computed when the failed check still freed the main basis's rows first
+SCAN19_RECORDS = [
+    ("0x1.232a0dd6ada18p+0", "0x1.74808d00761fdp-49", "0x0.0p+0",
+     "0x0.0p+0", "0x1.58ef886d0a071p-54", "0x1.a4d81de912e96p-146"),
+    ("0x1.1d488048fde03p+2", "0x1.90cd3b93fd33dp-39", "0x1.232a0dd6ada18p+0",
+     "0x1.74808d00761fdp-49", "0x1.1bd3e5ca0802cp-52", "0x1.95c41280e0175p-80"),
+    ("0x1.921c26c1551dap+3", "0x1.7b20363e00114p-39", "0x1.1d488048fde03p+2",
+     "0x1.90cd3b93fd33dp-39", "0x1.945d2f8a13b1bp-51", "0x1.ed5e17cbdf72cp-77"),
+    ("0x1.9d7de9af98f2dp+4", "0x1.0c0504dde8e63p-38", "0x1.921c26c1551dap+3",
+     "0x1.7b20363e00114p-39", "0x1.49e2ff9e12fa5p-50", "0x1.22a56e4b207aep-87"),
+    ("0x1.44ebf594416d6p+5", "-0x1.64c319a315b93p-31", "0x1.9d7de9af98f2dp+4",
+     "0x1.0c0504dde8e63p-38", "0x1.8c3f40fecced6p-51", "0x1.a6d3f19837315p-102"),
+    ("0x1.676c3dcc66e0bp+6", "0x1.70dba62c513a3p-32", "0x1.44ebf594416d6p+5",
+     "-0x1.64c319a315b93p-31", "0x1.87ae875d881bfp-48", "0x1.9abaa6ab22ca4p-50"),
+]
+
+
+def test_failed_shift_check_keeps_the_main_basis_rows(monkeypatch):
+    problem = parse_problem(SCAN19)
+    config, _, _, _, start = prepare(problem)
+    failed = []
+    shift = spectral_module.shift_basis
+
+    def recording_shift(*args, **kwargs):
+        try:
+            return shift(*args, **kwargs)
+        except ShiftFailureError as exc:
+            failed.append(exc)
+            raise
+
+    monkeypatch.setattr(spectral_module, "shift_basis", recording_shift)
+    power_builds = track_power_sets(monkeypatch)
+    records = sweep_eigenvalues(problem, config, particular=start)
+    # the check ran while the main basis still held its rows, so the next
+    # candidate reads them without a rebuild
+    assert len(failed) == 1
+    assert [how for _, _, how in power_builds if how == "reread"] == []
+    assert all(alive == [] for _, alive, _ in power_builds)
+    got = [
+        tuple(float(v).hex() for v in (
+            rec.lam.real, rec.lam.imag, rec.center_used.real, rec.center_used.imag,
+            rec.validation_residual, rec.tail_indicator,
+        ))
+        for rec in records
+    ]
+    assert got == SCAN19_RECORDS
 
 
 def test_trust_radius_monotone_in_tolerance():

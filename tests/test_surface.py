@@ -2,6 +2,7 @@
 
 import ast
 import graphlib
+import importlib
 import os
 import re
 import subprocess
@@ -12,12 +13,12 @@ import spps
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# what the README quick start and the demos import from ``spps``; building
-# blocks such as SppsBasis are imported from their modules
+# the package's entry points (the README quick start and the demos import
+# 9 of them); building blocks such as SppsBasis are imported from their modules
 TOP_LEVEL = [
     "BoundaryCondition", "EigenvalueRecord", "InputError", "Interval", "ParticularPiece",
     "Piece", "Problem", "SampledFunction", "SolverConfig", "SolverError", "SppsError",
-    "__version__", "assemble_characteristic", "build_basis", "build_mesh",
+    "__version__", "assemble_characteristic", "build_mesh",
     "build_seed_solution", "characteristic_at", "compute_formal_powers",
     "count_zeros", "evaluate_solution", "fixture_path", "indefinite_integral",
     "load_problem", "parse_problem", "roots_of", "sample_coefficients", "sample_problem",
@@ -88,13 +89,7 @@ def test_only_basis_reads_power_rows():
     trees = _module_trees()
     readers = {name for name, tree in trees.items() if {"tilde", "plain"} & _attributes_read(tree)}
     assert readers <= {"powers", "basis", "cli"}
-    spectral = trees["spectral"]
-    assert "powers" not in _attributes_read(spectral)
-    imported = {
-        alias.name for node in ast.walk(spectral) if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert "build_basis" not in imported
+    assert "powers" not in _attributes_read(trees["spectral"])
 
 
 def _reads(node, name):
@@ -114,3 +109,60 @@ def test_only_verify_particular_reads_the_nonvanishing_threshold():
     ]
     everywhere = sum(len(_reads(tree, "EPS_F_FACTOR")) for tree in trees.values())
     assert everywhere == len(_reads(verify, "EPS_F_FACTOR")) == 1
+
+
+def test_every_public_name_is_named_outside_its_module():
+    """A name in a module's ``__all__`` is used by another module of the package,
+    a demo, the README or perfbench; what only tests use is private."""
+    package = ROOT / "src" / "spps"
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    elsewhere = [ROOT / "README.md", *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
+    outside = [path.read_text(encoding="utf-8") for path in elsewhere]
+    unused = []
+    for name in sorted(sources.keys() - {"__init__"}):
+        texts = outside + [text for other, text in sources.items() if other != name]
+        for symbol in getattr(importlib.import_module(f"spps.{name}"), "__all__", []):
+            word = re.compile(rf"\b{re.escape(symbol)}\b")
+            if not any(word.search(text) for text in texts):
+                unused.append(f"{name}.{symbol}")
+    assert unused == []
+
+
+def _enclosing_functions(tree):
+    """``{id(node): "Class.method" or "function"}`` for every node inside a def."""
+    owner = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = f"{prefix}{child.name}"
+                for inner in ast.walk(child):
+                    if not isinstance(child, ast.ClassDef):
+                        owner[id(inner)] = qualname
+                visit(child, qualname + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return owner
+
+
+def test_only_shift_basis_constructs_and_only_grow_raises_an_order():
+    """In ``basis``, ``SppsBasis(...)`` is called only by ``shift_basis``, and
+    ``.n_terms`` is assigned only by ``SppsBasis.__init__`` and ``SppsBasis.grow``."""
+    tree = _module_trees()["basis"]
+    owner = _enclosing_functions(tree)
+    constructs = [
+        owner.get(id(node)) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "SppsBasis"
+    ]
+    assert constructs == ["shift_basis"]
+    assigned = [
+        owner.get(id(target)) for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for part in ast.walk(target)
+        if isinstance(part, ast.Attribute) and part.attr == "n_terms"
+    ]
+    assert sorted(assigned) == ["SppsBasis.__init__", "SppsBasis.grow"]

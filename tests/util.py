@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 
 import spps.basis
-from spps.basis import ParticularSolution, SppsBasis, build_basis, evaluate_solution
+from spps.basis import ParticularSolution, SppsBasis, evaluate_solution, verify_particular
 from spps.expressions import parse
 from spps.mesh import (
     Interval,
@@ -134,7 +134,8 @@ def identity_shift(basis):
         pf_prime=SampledFunction(mesh, pu1),
         lambda_star=basis.center,
     )
-    return build_basis(ps, basis.samples, basis.n_terms)
+    verify_particular(basis.samples, ps)
+    return SppsBasis(ps, basis.samples, basis.n_terms)
 
 
 def track_power_sets(monkeypatch):
