@@ -11,6 +11,9 @@ with mu = lambda - lambda*, T the first family and P the second.  The
 quasi-derivative p*u' is the object carried everywhere: it stays
 continuous across coefficient jumps while u' itself may not.  Only this
 module reads power rows: ``evaluate_solution``, ``SppsBasis.endpoint_series``.
+On a long mesh ``evaluate_solution`` sums the u1 and u2 series on two
+threads, as ``compute_formal_powers`` builds the two families; the bits are
+those of one thread.
 
 The seed construction solves the lambda*=0 equation by running the same
 recursion with f == 1 and -q in place of r, evaluating both series at
@@ -34,7 +37,7 @@ from .errors import (
     ShiftFailureError,
 )
 from .mesh import SampledFunction, constant_function
-from .powers import _growth_bounds, compute_formal_powers
+from .powers import _growth_bounds, _in_pair, compute_formal_powers
 from .quadrature import indefinite_integral, l1_norm
 
 __all__ = [
@@ -295,7 +298,9 @@ def evaluate_solution(basis, lam):
     Returns ``(u1, pu1, u2, pu2, tail)``: four arrays on the expanded grid and
     the larger of the two series tails.  Any complex lambda is accepted; accuracy
     degrades away from the center, as ``tail`` reports (``_tail_indicator``).
-    A sum that overflows gives an infinite tail, and no warning.
+    A sum that overflows gives an infinite tail, and no warning.  The u1 half
+    (the first family) and the u2 half (the second) are summed on two threads
+    on a long mesh (``powers._in_pair``), with the same bits as inline.
     """
     n = basis.n_terms
     mu = complex(lam) - basis.center
@@ -303,22 +308,27 @@ def evaluate_solution(basis, lam):
     fv = basis.particular.f.values
     pfv = basis.particular.pf_prime.values
 
-    # an overflow is reported through the tail, which every caller checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        even = _horner_rows(fp.tilde[0::2], mu, n + 1)
-        u1 = fv * even
-        pu1 = pfv * even
-        if n >= 1:
-            odd = _horner_rows(fp.tilde[1::2], mu, n)
-            pu1 = pu1 + (mu / fv) * odd
-        tail1 = _tail_indicator(mu, n, fp.tilde[2 * n], even)
+    # an overflow is reported through the tail, which every caller checks;
+    # each half sets errstate itself, because it holds only on its own thread
+    def first():
+        with np.errstate(over="ignore", invalid="ignore"):
+            even = _horner_rows(fp.tilde[0::2], mu, n + 1)
+            u1 = fv * even
+            pu1 = pfv * even
+            if n >= 1:
+                odd = _horner_rows(fp.tilde[1::2], mu, n)
+                pu1 = pu1 + (mu / fv) * odd
+            return u1, pu1, _tail_indicator(mu, n, fp.tilde[2 * n], even)
 
-        odd = _horner_rows(fp.plain[1::2], mu, n + 1)
-        even = _horner_rows(fp.plain[0::2], mu, n + 1)
-        u2 = fv * odd
-        pu2 = pfv * odd + even / fv
-        tail2 = _tail_indicator(mu, n, fp.plain[2 * n + 1], odd)
+    def second():
+        with np.errstate(over="ignore", invalid="ignore"):
+            odd = _horner_rows(fp.plain[1::2], mu, n + 1)
+            even = _horner_rows(fp.plain[0::2], mu, n + 1)
+            u2 = fv * odd
+            pu2 = pfv * odd + even / fv
+            return u2, pu2, _tail_indicator(mu, n, fp.plain[2 * n + 1], odd)
 
+    (u1, pu1, tail1), (u2, pu2, tail2) = _in_pair(fp.mesh, first, second)
     return u1, pu1, u2, pu2, max(tail1, tail2)
 
 

@@ -15,11 +15,21 @@ The members obey the factorial growth estimates
 with C1 = ||1/(p f^2)||_L1 and C2 = ||r f^2||_L1 (Kravchenko & Porter,
 Math. Methods Appl. Sci. 33 (2010) 459-468); ``_growth_bounds`` yields
 their right-hand sides.
+
+The two families share only the two weights, so ``compute_formal_powers``
+builds them as two independent loops, each with its own scratch rows.
+``_in_pair`` runs the two on two threads when the mesh has at least
+_PAIRED_MIN_SLOTS slots and the process may use two CPUs (numpy releases
+the interpreter lock inside each row operation), and inline otherwise.
+Every row is the same bits either way.  ``basis.evaluate_solution`` sums
+its two series through the same helper.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +42,46 @@ __all__ = [
     "FormalPowerSet",
     "compute_formal_powers",
 ]
+
+# rows at least this long are worth a second thread: below it, starting and
+# joining one costs more than the half it takes off (about 8000 slots is
+# even at N = 40)
+_PAIRED_MIN_SLOTS = 16384
+
+
+# the CPUs this process may run on (its affinity set, where the platform has one)
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_pair(mesh, first, second):
+    """Run ``first()`` and ``second()``; return both results, in that order.
+
+    On a mesh of at least _PAIRED_MIN_SLOTS slots, with two CPUs or more to
+    run on, ``first`` runs on a thread started for this call and ``second``
+    on the caller's, and the thread is joined before this returns.  The two
+    must share no array they write.  An exception from either is raised
+    only after both have ended, ``first``'s before ``second``'s, as inline.
+    Anything else runs both inline.
+    """
+    if mesh.n_slots < _PAIRED_MIN_SLOTS or _CPUS < 2:
+        return first(), second()
+    result, error = [None], []
+
+    def target():
+        try:
+            result[0] = first()
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            error.append(exc)
+
+    worker = threading.Thread(target=target, name="spps-pair", daemon=True)
+    worker.start()
+    try:
+        other = second()
+    finally:
+        worker.join()
+        if error:
+            raise error[0]
+    return result[0], other
 
 
 @dataclass(frozen=True)
@@ -83,19 +133,24 @@ def compute_formal_powers(f, p, r, n_terms):
     # and returns it to the OS when freed, where two halves of 32 MiB or
     # less would come from the heap and stay resident
     tilde, plain = np.empty((2, n_max + 1, mesh.n_slots), dtype=np.complex128)
-    tilde[0] = 1.0
-    plain[0] = 1.0
-    # each integral is written straight into its row; the product row and
-    # the quadrature workspace are shared by all 2(2N+1) integrals
-    prod = np.empty(mesh.n_slots, dtype=np.complex128)
-    work = _workspace(mesh)
-    for n in range(1, n_max + 1):
-        wt, wp = (weight_r, weight_p) if n % 2 == 1 else (weight_p, weight_r)
-        for fam, weight in ((tilde, wt), (plain, wp)):
-            np.multiply(fam[n - 1], weight, out=prod)
+
+    def run(fam, w_odd, w_even):
+        # each integral is written straight into its row; the product row and
+        # the quadrature workspace belong to this family alone, so the two
+        # families can run on two threads
+        fam[0] = 1.0
+        prod = np.empty(mesh.n_slots, dtype=np.complex128)
+        work = _workspace(mesh)
+        for n in range(1, n_max + 1):
+            np.multiply(fam[n - 1], w_odd if n % 2 == 1 else w_even, out=prod)
             # a fresh view each time: SampledFunction marks its array read-only
             indefinite_integral(SampledFunction(mesh, prod[:]), out=fam[n], work=work)
 
+    _in_pair(
+        mesh,
+        lambda: run(tilde, weight_r, weight_p),
+        lambda: run(plain, weight_p, weight_r),
+    )
     return FormalPowerSet(mesh=mesh, tilde=tilde, plain=plain, n_max=n_max)
 
 

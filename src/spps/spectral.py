@@ -526,8 +526,9 @@ def characteristic_at(problem, center=0.0):
 def landscape_of(phi, center, radius, grid):
     """Sample -log|Phi| on a grid covering the disk's bounding square.
 
-    Rows are ordered by decreasing imaginary part.  Points where Phi
-    underflows to zero are clamped to LANDSCAPE_CAP; a Phi that overflows
+    Rows are ordered by decreasing imaginary part.  Every height is clamped
+    at LANDSCAPE_CAP, so a subnormal |Phi| draws no higher than an exact
+    zero (where -log|Phi| is infinite); a Phi that overflows
     anywhere on the grid raises ContourError.  Returns the matrix and a
     metadata dict including the trust radius and how much of the grid lies
     beyond it.
@@ -549,7 +550,7 @@ def landscape_of(phi, center, radius, grid):
         height = -np.log(magnitude)
     if not np.all(np.isfinite(magnitude)):
         raise ContourError("characteristic function not finite on the landscape grid")
-    height[magnitude == 0] = LANDSCAPE_CAP
+    np.minimum(height, LANDSCAPE_CAP, out=height)
     trust = phi.trust_radius()
     outside = float(np.mean(np.abs(z - center) > trust))
     meta = {

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +18,13 @@ from spps.mesh import (
     constant_function,
     sample_coefficients,
 )
-from spps.powers import compute_formal_powers
+import spps.powers
+from spps.basis import SppsBasis, evaluate_solution, shift_basis
+from spps.errors import ShiftFailureError
+from spps.powers import _PAIRED_MIN_SLOTS, _in_pair, compute_formal_powers
+from spps.problems import fixture_path, load_problem, prepare, with_overrides
 
-from util import BoundViolationError, check_bounds, unit_samples
+from util import BoundViolationError, check_bounds, layered_problem, unit_samples
 
 
 def _unit_powers(n_terms, m=200):
@@ -80,9 +88,8 @@ def test_interleaving_identity():
 
 
 def test_rows_are_written_in_place(monkeypatch):
-    # each integral lands in its own row of tilde/plain, with no copy after
-    import spps.powers
-
+    # each integral lands in its own row of its own family, with no copy after;
+    # the order of the calls across the two families is free
     results = []
     original = spps.powers.indefinite_integral
 
@@ -95,9 +102,12 @@ def test_rows_are_written_in_place(monkeypatch):
     f = SampledFunction(s.mesh, 2.0 + s.mesh.xs**2)
     fp = compute_formal_powers(f, s.p, s.r, 3)
     assert len(results) == 2 * (2 * 3 + 1)
-    for n in range(1, fp.n_max + 1):
-        assert np.shares_memory(results[2 * (n - 1)].values, fp.tilde[n])
-        assert np.shares_memory(results[2 * n - 1].values, fp.plain[n])
+    rows = [fam[n] for fam in (fp.tilde, fp.plain) for n in range(1, fp.n_max + 1)]
+    for res in results:
+        hits = [k for k, row in enumerate(rows) if np.shares_memory(res.values, row)]
+        assert len(hits) == 1
+        rows.pop(hits[0])
+    assert rows == []
 
 
 def test_vanishing_f_rejected_with_location():
@@ -153,3 +163,102 @@ def test_power_set_accessors():
     assert fp.n_max == 7
     assert fp.mesh is s.mesh
     assert fp.tilde.shape == fp.plain.shape == (8, s.mesh.n_slots)
+
+
+# ---------------------------------------------------------------------------
+# Two threads on a long mesh
+
+
+def _paired_run(monkeypatch, cpus):
+    """Seed, powers and one evaluation of a complex layered problem on a long mesh.
+
+    Returns the bytes of every result and, for the integrals, whether each
+    ran on the calling thread.
+    """
+    monkeypatch.setattr(spps.powers, "_CPUS", cpus)
+    caller = threading.get_ident()
+    on_caller = set()
+    original = spps.powers.indefinite_integral
+
+    def recording(g, **kwargs):
+        on_caller.add(threading.get_ident() == caller)
+        return original(g, **kwargs)
+
+    monkeypatch.setattr(spps.powers, "indefinite_integral", recording)
+    _, samples, _, _, start = prepare(layered_problem(complex_params=True, n_terms=8, m=20000))
+    assert samples.mesh.n_slots >= _PAIRED_MIN_SLOTS
+    fp = compute_formal_powers(start.f, samples.p, samples.r, 8)
+    evaluated = evaluate_solution(SppsBasis(start, samples, 8), 0.7 + 0.3j)
+    arrays = (start.f.values, start.pf_prime.values, fp.tilde, fp.plain, *evaluated[:4])
+    return [a.tobytes() for a in arrays] + [float(evaluated[4]).hex()], on_caller
+
+
+def test_paired_and_inline_give_equal_bytes(monkeypatch):
+    paired, paired_on_caller = _paired_run(monkeypatch, 2)
+    inline, inline_on_caller = _paired_run(monkeypatch, 1)
+    assert paired_on_caller == {True, False}
+    assert inline_on_caller == {True}
+    assert paired == inline
+
+
+def test_paired_evaluation_overflow_warns_nothing(monkeypatch):
+    # each half ignores overflow on its own thread: the sums overflow at 1e15,
+    # and only the tail says so
+    monkeypatch.setattr(spps.powers, "_CPUS", 2)
+    trivial = load_problem(fixture_path("trivial.prob"))
+    config, samples, _, _, start = prepare(with_overrides(trivial, mesh_m=20000))
+    basis = SppsBasis(start, samples, config.n_terms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u1, _, u2, _, tail = evaluate_solution(basis, 1e15)
+        assert tail == math.inf
+        assert not (np.isfinite(u1).all() and np.isfinite(u2).all())
+        with pytest.raises(ShiftFailureError, match="leaves the trust region"):
+            shift_basis(basis, 1e15)
+
+
+def _build_on_a_long_mesh():
+    s = unit_samples(_PAIRED_MIN_SLOTS)
+    return compute_formal_powers(constant_function(s.mesh, 1.0), s.p, s.r, 3)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+def test_fork_child_builds_after_a_paired_build(monkeypatch):
+    # no thread or pool of the parent's build is left for the child to wait on
+    monkeypatch.setattr(spps.powers, "_CPUS", 2)
+    _build_on_a_long_mesh()
+    child = multiprocessing.get_context("fork").Process(target=_build_on_a_long_mesh)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("a forked child hung building its own power set")
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("failing", ["first", "second"])
+def test_pair_reraises_after_both_halves_end(monkeypatch, failing):
+    monkeypatch.setattr(spps.powers, "_CPUS", 2)
+    mesh = unit_samples(_PAIRED_MIN_SLOTS).mesh
+    before = threading.active_count()
+    ended = []
+
+    def half(name, delay):
+        def run():
+            time.sleep(delay)
+            ended.append((name, threading.current_thread() is threading.main_thread()))
+            if name == failing:
+                raise ValueError(f"{name} half failed")
+            return name
+
+        return run
+
+    # the failing half ends first, the other one later
+    delays = {"first": 0.0, "second": 0.2} if failing == "first" else {"first": 0.2, "second": 0.0}
+    with pytest.raises(ValueError, match=f"{failing} half failed"):
+        _in_pair(mesh, half("first", delays["first"]), half("second", delays["second"]))
+    assert sorted(ended) == [("first", False), ("second", True)]
+    assert threading.active_count() == before

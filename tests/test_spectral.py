@@ -30,6 +30,7 @@ from spps.problems import (
     with_overrides,
 )
 from spps.spectral import (
+    LANDSCAPE_CAP,
     CharacteristicPolynomial,
     EigenvalueRecord,
     _main_order,
@@ -316,6 +317,15 @@ def test_landscape_caps_at_exact_zero():
     phi = CharacteristicPolynomial(np.array([0.0, 1.0], dtype=complex), 0.0)
     height, _ = landscape_of(phi, 0.0, 1.0, 17)  # odd grid hits the origin
     assert height.max() == 308.0
+
+
+def test_landscape_caps_a_subnormal_phi():
+    # |Phi| beside the zeros +-i is subnormal, about 1e-320: uncapped, its
+    # height (738) would rise above the zeros' own 308
+    phi = CharacteristicPolynomial(np.array([1e-320, 0.0, 1e-320]), 0.0)
+    height, _ = landscape_of(phi, 0.0, 1.0, 17)  # the middle column holds +-i
+    assert height.max() <= LANDSCAPE_CAP
+    assert height[0, 8] == height[-1, 8] == height.max()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
