@@ -15,12 +15,11 @@ On a long mesh ``evaluate_solution`` sums the u1 and u2 series on two
 threads, as ``compute_formal_powers`` builds the two families; the bits are
 those of one thread.
 
-The seed construction solves the lambda*=0 equation by running the same
-recursion with f == 1 and -q in place of r, evaluating both series at
-lambda = 1, and mixing them so the combination never vanishes.  Shifting
-to a new center evaluates the current basis there, picks a nonvanishing
-combination, checks it, and only then frees the old rows and builds the
-powers on it.
+The seed runs the same recursion with f == 1 and -q in place of r and sums
+both series at lambda = 1; a shift evaluates the current basis at the new
+center.  Both mix the two solutions into f with pairs (c1, c2) of one pool,
+formed and checked in ``_first_verified``: the seed tries the pool in order,
+a shift only its pair of largest min|f|/max|f|, before it frees any rows.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ __all__ = [
     "shift_basis",
 ]
 
-# combinations (c1, c2) tried when mixing the two series solutions into a
-# nonvanishing f; (1, i) is the stock choice for real coefficients
-_SEED_COMBINATIONS = ((1.0, 1.0j), (1.0, -1.0j), (1.0, 1.0), (1.0, -1.0))
-_SHIFT_COMBINATIONS = _SEED_COMBINATIONS + ((1.0, 0.0), (0.0, 1.0))
+# the pairs (c1, c2) that mix the two series solutions into a nonvanishing f,
+# in the seed's order; (1, i) is the stock choice for real coefficients.
+# (0, 1) is not one: u2 is exactly 0 at a.
+_COMBINATIONS = ((1.0, 1.0j), (1.0, -1.0j), (1.0, 1.0), (1.0, -1.0), (1.0, 0.0))
 
 # f values below EPS_F_FACTOR * max|f| make 1/f amplify noise beyond
 # double-precision usefulness
@@ -226,12 +225,38 @@ def particular_from_samples(samples, f, pf_prime):
     return ps
 
 
+def _first_verified(samples, pairs, u1, pu1, u2, pu2, lambda_star):
+    """The first c1*(u1, pu1) + c2*(u2, pu2) over ``pairs`` that verifies.
+
+    Otherwise raises the last ParticularResidualError, else the last NonvanishingError.
+    """
+    residual_error = nonvanishing_error = None
+    try:
+        for c1, c2 in pairs:
+            ps = ParticularSolution(
+                f=SampledFunction(samples.mesh, c1 * u1 + c2 * u2),
+                pf_prime=SampledFunction(samples.mesh, c1 * pu1 + c2 * pu2),
+                lambda_star=lambda_star,
+            )
+            try:
+                verify_particular(samples, ps)
+                return ps
+            except NonvanishingError as exc:
+                nonvanishing_error = exc
+            except ParticularResidualError as exc:
+                residual_error = exc
+        raise residual_error if residual_error is not None else nonvanishing_error
+    finally:
+        # each kept error's traceback holds this frame: drop them, or they form a cycle
+        residual_error = nonvanishing_error = None
+
+
 def build_seed_solution(samples, n_terms):
     """Construct a nonvanishing solution of the lambda=0 equation.
 
     Runs the power recursion with f == 1 and -q in place of r, sums both
-    series at lambda = 1, and returns the first stock combination
-    c1*y1 + c2*y2 that ``verify_particular`` accepts.
+    series at lambda = 1, and returns the first combination c1*y1 + c2*y2,
+    in pool order, that ``verify_particular`` accepts.
 
     The series are built only to the order past which the growth bounds
     (C1 = ||1/p||_L1, C2 = ||q||_L1) keep every term below EXACT_TAIL;
@@ -258,29 +283,18 @@ def build_seed_solution(samples, n_terms):
     tail = float(np.abs(fp.tilde[2 * n_terms][[0, -1]]).max())
     head = float(np.abs(y1[[0, -1]]).max()) or 1.0
 
-    last_error = None
-    for c1, c2 in _SEED_COMBINATIONS:
-        ps = ParticularSolution(
-            f=SampledFunction(mesh, c1 * y1 + c2 * y2),
-            pf_prime=SampledFunction(mesh, c1 * py1 + c2 * py2),
-            lambda_star=0.0,
-        )
-        try:
-            verify_particular(samples, ps)
-            return ps
-        except NonvanishingError:
-            continue
-        except ParticularResidualError as exc:
-            last_error = exc
-    if last_error is not None:
+    try:
+        return _first_verified(samples, _COMBINATIONS, y1, py1, y2, py2, 0.0)
+    except ParticularResidualError as exc:
         raise SeedFailureError(
             f"seed series did not converge (last term/partial sum = {tail / head:.2e}); "
-            f"increase the power count or supply a particular solution: {last_error}"
-        )
-    raise SeedFailureError(
-        "no stock combination yields a nonvanishing seed solution; "
-        "supply a particular solution or start from a nonzero shift"
-    )
+            f"increase the power count or supply a particular solution: {exc}"
+        ) from exc
+    except NonvanishingError as exc:
+        raise SeedFailureError(
+            "no stock combination yields a nonvanishing seed solution; "
+            "supply a particular solution or start from a nonzero shift"
+        ) from exc
 
 
 def _horner_rows(rows, mu, count):
@@ -356,9 +370,9 @@ def _tail_indicator(mu, n, last_row, series_sum):
 def shift_basis(basis, new_center, n_terms=None):
     """Recentre the basis at ``new_center``, rebuilt with ``n_terms`` powers.
 
-    Evaluates both solutions there and picks the combination c1*u1 + c2*u2
-    maximising min|f*|/max|f*|.  ``verify_particular`` checks it, once,
-    while ``basis`` still holds its rows: a failure of either invariant
+    Evaluates both solutions there and picks the pair of the pool whose
+    c1*u1 + c2*u2 maximises min|f*|/max|f*|.  ``verify_particular`` checks
+    it, and no other pair, while ``basis`` still holds its rows: a failure
     raises ShiftFailureError and leaves ``basis`` as it was.  Only then are
     the rows of ``basis`` freed and the powers built on the combination, so
     one power set is alive at a time.  ``n_terms`` defaults to the basis's
@@ -380,28 +394,16 @@ def shift_basis(basis, new_center, n_terms=None):
             "or more series terms"
         )
 
-    # u1 stands in when no combination has a ratio; verify_particular rejects it
-    best, best_ratio = (1.0, 0.0, u1), -1.0
-    for c1, c2 in _SHIFT_COMBINATIONS:
-        fv = c1 * u1 + c2 * u2
-        max_abs = float(np.abs(fv).max())
-        if max_abs == 0.0:
-            continue
-        ratio = float(np.abs(fv).min()) / max_abs
+    # (1, 0) stands in when no pair has a ratio; verify_particular rejects it
+    best, best_ratio = (1.0, 0.0), -1.0
+    for c1, c2 in _COMBINATIONS:
+        abs_f = np.abs(c1 * u1 + c2 * u2)
+        max_abs = float(abs_f.max())
+        ratio = float(abs_f.min()) / max_abs if max_abs > 0.0 else -1.0  # 0 or NaN: none
         if ratio > best_ratio:
-            best_ratio = ratio
-            best = (c1, c2, fv)
-    c1, c2, fv = best
-    pfv = c1 * pu1 + c2 * pu2
-
-    mesh = basis.samples.mesh
-    ps = ParticularSolution(
-        f=SampledFunction(mesh, fv),
-        pf_prime=SampledFunction(mesh, pfv),
-        lambda_star=new_center,
-    )
+            best, best_ratio = (c1, c2), ratio
     try:
-        verify_particular(basis.samples, ps)
+        ps = _first_verified(basis.samples, (best,), u1, pu1, u2, pu2, new_center)
     except NonvanishingError as exc:
         raise ShiftFailureError(
             f"no combination yields a nonvanishing solution at center {new_center}: "

@@ -393,7 +393,8 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
                 # still counts, so the polynomial needs the full order
                 vbasis.grow(n_full)
                 vphi = assemble_characteristic(vbasis, bc_left, bc_right)
-            residual = abs(vphi.coeffs[0]) / vphi.scale
+            # an overflowed polynomial fails: its infinite scale would read as residual 0
+            residual = abs(vphi.coeffs[0]) / vphi.scale if math.isfinite(vphi.scale) else math.inf
         except SolverError:
             pass
         else:
@@ -494,12 +495,8 @@ def _refine_in_frame(vphi, cand):
     the polynomial is most accurate; its nearest root is a strictly better
     estimate as long as the correction is tiny.
     """
-    try:
-        mu = roots_of(vphi) - vphi.center
-    except DegeneratePolynomialError:
-        return cand
-    if mu.size == 0:
-        return cand
+    # vphi passed validation: finite, with |c0| below its scale, so it has a root
+    mu = roots_of(vphi) - vphi.center
     step = mu[np.argmin(np.abs(mu))]
     if abs(step) <= 1e-3 * (1.0 + abs(cand)):
         return cand + complex(step)

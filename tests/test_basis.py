@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -178,8 +180,8 @@ def test_seed_falls_through_to_a_later_stock_pair(bundled_problem, monkeypatch):
         counting(module, name)
     orders = _record_orders(monkeypatch)
     # y2 is 0 at a, so (0, 1) vanishes and the seed falls through to (1, i)
-    stock = spps.basis._SEED_COMBINATIONS
-    monkeypatch.setattr(spps.basis, "_SEED_COMBINATIONS", ((0.0, 1.0),) + stock)
+    pool = spps.basis._COMBINATIONS
+    monkeypatch.setattr(spps.basis, "_COMBINATIONS", ((0.0, 1.0),) + pool)
     seed = build_seed_solution(samples, 40)
     assert seed.f.values.tobytes() == default.f.values.tobytes()
     assert seed.pf_prime.values.tobytes() == default.pf_prime.values.tobytes()
@@ -187,6 +189,60 @@ def test_seed_falls_through_to_a_later_stock_pair(bundled_problem, monkeypatch):
     # every check integrates its residual, the rejected pair's too
     (n,) = orders
     assert counts["indefinite_integral"] == 2 * (2 * n + 1) + counts["verify_particular"]
+
+
+def test_seed_reaches_the_last_pair_of_the_pool(bundled_problem, monkeypatch):
+    # the four stock pairs fail their check, so the seed is y1 alone: (1, 0)
+    samples = sample_problem(bundled_problem("example4"), 2000)
+    default = build_seed_solution(samples, 40)
+    checked = []
+    original = spps.basis.verify_particular
+
+    def rejecting_four(samples, ps):
+        checked.append(ps)
+        if len(checked) <= 4:
+            raise NonvanishingError("forced failure")
+        return original(samples, ps)
+
+    monkeypatch.setattr(spps.basis, "verify_particular", rejecting_four)
+    seed = build_seed_solution(samples, 40)
+    assert len(checked) == 5 and seed is checked[-1]
+    # example4 is real, so the default (1, i) seed is y1 + i y2
+    assert np.array_equal(seed.f.values, default.f.values.real)
+    assert np.array_equal(seed.pf_prime.values, default.pf_prime.values.real)
+
+
+def test_failed_checks_leave_no_reference_cycle(bundled_problem, monkeypatch):
+    # a kept error's traceback holds the frames it passed through; in a cycle
+    # they, and the source basis's rows, would wait for the collector
+    _, samples, _, _, start = prepare(bundled_problem("trivial"))
+    original = spps.basis.verify_particular
+    checked = []
+
+    def first_fails(samples, ps):
+        checked.append(ps)
+        if len(checked) == 1:
+            raise ParticularResidualError("forced failure")
+        return original(samples, ps)
+
+    monkeypatch.setattr(spps.basis, "verify_particular", first_fails)
+    gc.collect()
+    gc.disable()
+    try:
+        basis = SppsBasis(start, samples, 10)
+        source = weakref.ref(basis)
+        try:
+            shift_basis(basis, 1.0)
+        except ShiftFailureError:
+            pass
+        del basis
+        assert len(checked) == 1 and source() is None
+        checked.clear()
+        build_seed_solution(samples, 10)  # the first pair fails, the second passes
+        assert len(checked) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_user_airy_particular_verifies(bundled_problem):
@@ -274,6 +330,8 @@ def test_wronskian_identity(unit_basis, step_setup):
             u1, pu1, u2, pu2, _ = evaluate_solution(basis, lam)
             w = u1 * pu2 - u2 * pu1
             assert np.abs(w - 1.0).max() <= 1e-9
+            # every power of index >= 1 is 0 at a, so is u2: (0, 1) never makes an f
+            assert u2[0] == 0.0
 
 
 def test_solution_continuity_across_breakpoints(step_setup):

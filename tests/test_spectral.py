@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -503,6 +504,24 @@ def test_sweep_stalls_with_tiny_truncation(n_terms, message):
     problem = with_overrides(plain_problem(n_terms=n_terms, m=200), max_eigenvalues=3)
     with pytest.raises(SweepStalledError, match=message):
         sweep_eigenvalues(problem)
+
+
+def test_overflowed_validation_polynomial_fails_validation(bundled_problem, monkeypatch):
+    # an infinite coefficient gives an infinite scale, so |c0| / scale would read 0
+    assemble = spectral_module.assemble_characteristic
+
+    def overflowing(basis, bc_left, bc_right):
+        phi = assemble(basis, bc_left, bc_right)
+        if sys._getframe(1).f_code.co_name != "_validate_nearest":
+            return phi
+        coeffs = phi.coeffs.copy()
+        coeffs[-1] = np.inf
+        return CharacteristicPolynomial(coeffs, phi.center)
+
+    monkeypatch.setattr(spectral_module, "assemble_characteristic", overflowing)
+    with pytest.raises(SweepStalledError, match="three consecutive") as info:
+        sweep_eigenvalues(bundled_problem("trivial"))
+    assert "last residual 0" not in str(info.value)
 
 
 def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, monkeypatch):
