@@ -17,13 +17,18 @@ those of one thread.
 
 The seed runs the same recursion with f == 1 and -q in place of r and sums
 both series at lambda = 1; a shift evaluates the current basis at the new
-center.  Both mix the two solutions into f with pairs (c1, c2) of one pool,
-formed and checked in ``_first_verified``: the seed tries the pool in order,
-a shift only its pair of largest min|f|/max|f|, before it frees any rows.
+center.  Both mix the two solutions into f with pairs (c1, c2) searched in
+one pool: the five stock pairs and forty pairs scaled to the two solutions'
+sizes, ranked in ``_ranked_pairs`` by min|f|/max|f| on every 16th slot and
+the last.  ``_first_verified`` forms and checks them: the seed tries the
+pool in ranked order, a shift only its first pair, before it frees any rows.
+The growth constant C1 = ||1/(p f^2)||_1 weights every odd power, so a
+poorly conditioned f spoils the whole set built on it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -50,10 +55,19 @@ __all__ = [
     "shift_basis",
 ]
 
-# the pairs (c1, c2) that mix the two series solutions into a nonvanishing f,
-# in the seed's order; (1, i) is the stock choice for real coefficients.
-# (0, 1) is not one: u2 is exactly 0 at a.
+# the stock pairs (c1, c2) that mix the two series solutions into a
+# nonvanishing f; (1, i) is the classic choice for real coefficients.
+# (0, 1) is not one: u2 is exactly 0 at a.  Every pair, scaled ones too,
+# has c1 = 1.
 _COMBINATIONS = ((1.0, 1.0j), (1.0, -1.0j), (1.0, 1.0), (1.0, -1.0), (1.0, 0.0))
+# the scaled pairs are (1, s * w) for these w, with s = max|u1| / max|u2|:
+# radii 1/4 .. 4 around the scale-matched mix, at eight phases each
+_SCALED = np.array(
+    [rho * cmath.exp(2j * math.pi * k / 8) for rho in (0.25, 0.5, 1.0, 2.0, 4.0) for k in range(8)]
+)
+_STOCK_C2 = np.array([c2 for _, c2 in _COMBINATIONS], dtype=np.complex128)
+# a ranking reads every _RANK_STRIDE-th slot and the last
+_RANK_STRIDE = 16
 
 # f values below EPS_F_FACTOR * max|f| make 1/f amplify noise beyond
 # double-precision usefulness
@@ -251,12 +265,32 @@ def _first_verified(samples, pairs, u1, pu1, u2, pu2, lambda_star):
         residual_error = nonvanishing_error = None
 
 
+def _ranked_pairs(u1, u2):
+    """The stock and scaled pairs, by decreasing min|f|/max|f| of c1*u1 + c2*u2.
+
+    The ratio is read on every _RANK_STRIDE-th slot and the last, for all
+    pairs at once.  A pair whose sampled max|f| is zero or NaN ranks last;
+    ties keep pool order, stock pairs first.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.abs(u1).max() / np.abs(u2).max()
+    c2 = np.concatenate((_STOCK_C2, (scale if np.isfinite(scale) else 1.0) * _SCALED))
+    sample_1 = np.concatenate((u1[::_RANK_STRIDE], u1[-1:]))
+    sample_2 = np.concatenate((u2[::_RANK_STRIDE], u2[-1:]))
+    abs_f = np.abs(sample_1 + c2[:, None] * sample_2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = abs_f.min(axis=1) / abs_f.max(axis=1)
+    ratio[~(ratio >= 0.0)] = -1.0  # a zero or NaN maximum
+    pairs = _COMBINATIONS + tuple((1.0, c) for c in c2[len(_COMBINATIONS) :].tolist())
+    return [pairs[i] for i in np.argsort(-ratio, kind="stable")]
+
+
 def build_seed_solution(samples, n_terms):
     """Construct a nonvanishing solution of the lambda=0 equation.
 
     Runs the power recursion with f == 1 and -q in place of r, sums both
     series at lambda = 1, and returns the first combination c1*y1 + c2*y2,
-    in pool order, that ``verify_particular`` accepts.
+    in ``_ranked_pairs`` order, that ``verify_particular`` accepts.
 
     The series are built only to the order past which the growth bounds
     (C1 = ||1/p||_L1, C2 = ||q||_L1) keep every term below EXACT_TAIL;
@@ -284,7 +318,7 @@ def build_seed_solution(samples, n_terms):
     head = float(np.abs(y1[[0, -1]]).max()) or 1.0
 
     try:
-        return _first_verified(samples, _COMBINATIONS, y1, py1, y2, py2, 0.0)
+        return _first_verified(samples, _ranked_pairs(y1, y2), y1, py1, y2, py2, 0.0)
     except ParticularResidualError as exc:
         raise SeedFailureError(
             f"seed series did not converge (last term/partial sum = {tail / head:.2e}); "
@@ -370,8 +404,8 @@ def _tail_indicator(mu, n, last_row, series_sum):
 def shift_basis(basis, new_center, n_terms=None):
     """Recentre the basis at ``new_center``, rebuilt with ``n_terms`` powers.
 
-    Evaluates both solutions there and picks the pair of the pool whose
-    c1*u1 + c2*u2 maximises min|f*|/max|f*|.  ``verify_particular`` checks
+    Evaluates both solutions there and picks the pair that ``_ranked_pairs``
+    ranks first for c1*u1 + c2*u2.  ``verify_particular`` checks
     it, and no other pair, while ``basis`` still holds its rows: a failure
     raises ShiftFailureError and leaves ``basis`` as it was.  Only then are
     the rows of ``basis`` freed and the powers built on the combination, so
@@ -394,14 +428,7 @@ def shift_basis(basis, new_center, n_terms=None):
             "or more series terms"
         )
 
-    # (1, 0) stands in when no pair has a ratio; verify_particular rejects it
-    best, best_ratio = (1.0, 0.0), -1.0
-    for c1, c2 in _COMBINATIONS:
-        abs_f = np.abs(c1 * u1 + c2 * u2)
-        max_abs = float(abs_f.max())
-        ratio = float(abs_f.min()) / max_abs if max_abs > 0.0 else -1.0  # 0 or NaN: none
-        if ratio > best_ratio:
-            best, best_ratio = (c1, c2), ratio
+    best = _ranked_pairs(u1, u2)[0]
     try:
         ps = _first_verified(basis.samples, (best,), u1, pu1, u2, pu2, new_center)
     except NonvanishingError as exc:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .basis import SppsBasis
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, SweepStalledError
 from .mesh import subinterval_counts
 from .problems import (
     POLICIES,
@@ -103,12 +103,29 @@ def _emit(lines, out):
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _sweep(problem):
+    """The sweep's records, and the stall that ended it (None if none did).
+
+    A stall before any eigenvalue was accepted raises like any solver error.
+    """
+    try:
+        return sweep_eigenvalues(problem), None
+    except SweepStalledError as exc:
+        if not exc.records:
+            raise
+        return exc.records, exc
+
+
 def cmd_solve(args):
     problem = _load_with_overrides(args)
     start = time.perf_counter()
-    records = sweep_eigenvalues(problem)
+    records, stall = _sweep(problem)
     elapsed = time.perf_counter() - start
     _emit(_result_lines(problem, records, elapsed), args.out)
+    if stall is not None:
+        # the table is what was found before the stall, not an answer
+        print(f"solver error: {stall}", file=sys.stderr)
+        return EXIT_SOLVER
     wanted = problem.solver.max_eigenvalues
     if len(records) < wanted:
         # the walk stopped early: the table is all that was found, not an answer
@@ -148,7 +165,7 @@ def cmd_count(args):
 def cmd_verify(args):
     problem = _load_with_overrides(args)
     references = load_reference(args.reference)
-    records = sweep_eigenvalues(problem)
+    records, stall = _sweep(problem)
     report = match_reference([rec.lam for rec in records], references)
     lines = ["n,reference,computed,abs_error,tolerance,status"]
     for n_ref, value, best, err, tol, ok in report:
@@ -157,6 +174,9 @@ def cmd_verify(args):
             f"{_fmt(err)},{_fmt(tol)},{'pass' if ok else 'FAIL'}"
         )
     _emit(lines, args.out)
+    if stall is not None:
+        print(f"solver error: {stall}", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK if all(row[-1] for row in report) else EXIT_SOLVER
 
 

@@ -91,5 +91,11 @@ class ContourError(SolverError):
 
 
 class SweepStalledError(SolverError):
-    """The eigenvalue sweep could not validate any further candidate roots."""
+    """The eigenvalue sweep could not validate any further candidate roots.
+
+    ``records`` holds the eigenvalues accepted before the stall, ordered as
+    ``sweep_eigenvalues`` returns them (empty when none was).
+    """
+
+    records = ()
 

@@ -15,17 +15,24 @@ of that polynomial and are polished by a few Newton steps.
 The sweep walks the spectrum: find the nearest new root, validate it by
 recentring the basis there (a true eigenvalue makes the recentred
 polynomial vanish at its own center), then move the center according to
-the shift schedule and repeat.  A basis raises its order only through
-``SppsBasis.grow``, on the particular solution it was verified with.  A
-validation basis is built at the order the current polynomial needs near
-its center and one step beyond, and grows to full order when that short
-series cannot match the full one.  A main basis (the one whose polynomial
-gives the next candidates) is built at the order its predecessor's
-polynomial needs over twice the distance to the eigenvalue it accepted,
-plus a margin; the first, with no predecessor, at two terms plus the
-margin.  Where its last coefficient still counts at the nearest new
-candidate, it grows to twice its order (capped at full order) before that
-candidate is validated; when it stalls, to full order.
+the shift schedule and repeat.  When the walk continues from the accepted
+eigenvalue itself (delta = 0 and a policy whose next center is the last
+eigenvalue), the validation basis is the next main basis, centred at the
+candidate within about 1e-12 of the refined eigenvalue: one power-set
+build per eigenvalue.  Otherwise the validation basis is shifted to the
+next center (delta != 0) or dropped (``fixed_center``).
+
+A basis raises its order only through ``SppsBasis.grow``, on the particular
+solution it was verified with.  A main basis (the one whose polynomial
+gives the next candidates), a kept validation basis included, is built at
+the order its predecessor's polynomial needs over twice the distance to
+the eigenvalue it accepted, plus a margin; the first, with no predecessor,
+at two terms plus the margin.  Where its last coefficient still counts at
+the nearest new candidate, it grows to twice its order (capped at full
+order) before that candidate is validated; when it stalls, to full order.
+A validation basis that is not kept is built at the order the current
+polynomial needs near its center and one step beyond.  Either grows to
+full order when its polynomial's last coefficient still counts.
 
 One power set is alive at a time: every shift and growth frees the rows
 it starts from before it builds.  A shift checks its recentred particular
@@ -36,6 +43,11 @@ solution, at its order, when it is read again: after a validation basis
 built from it is rejected, and under ``fixed_center`` once per eigenvalue.
 ``prepare`` has verified the start, so the first basis is an unchecked
 ``SppsBasis``.
+
+A stall raises ``SweepStalledError`` carrying the records accepted before
+it.  For a problem with real data, a record reports a real eigenvalue
+whose imaginary part is roundoff with its imaginary part zeroed
+(``_refine_in_frame``); the walk itself moves on from the value found.
 """
 
 from __future__ import annotations
@@ -308,27 +320,37 @@ def sweep_eigenvalues(problem, config=None, particular=None):
     """Walk the spectrum, validating each candidate by recentring.
 
     Returns EigenvalueRecords.  For problems with entirely real data the
-    records are sorted by real part and reindexed; otherwise they stay in
-    discovery order.
+    records are sorted by real part and reindexed, and an eigenvalue whose
+    imaginary part is roundoff is reported real; otherwise they stay in
+    discovery order.  A stall raises SweepStalledError with the records
+    accepted before it, ordered the same way, as its ``records``.
     """
     config, samples, bc_left, bc_right, start = prepare(problem, config, particular)
     basis = SppsBasis(start, samples, _main_order(None, config, None))
+    real = _is_real_problem(samples, bc_left, bc_right, config.delta)
+
+    def ordered(records):
+        return _sorted_by_real_part(records) if real else records
 
     records = []
     found = []
     while len(records) < config.max_eigenvalues:
         vbasis = None  # free the last validation basis before the next is built
         phi = assemble_characteristic(basis, bc_left, bc_right)
-        outcome = _validate_nearest(basis, phi, found, config, bc_left, bc_right)
+        try:
+            outcome = _validate_nearest(basis, phi, found, config, bc_left, bc_right)
+        except SweepStalledError as exc:
+            exc.records = ordered(records)
+            raise
         if outcome is None:
             continue  # the main basis grew: read its polynomial again
         cand, vbasis, vphi = outcome
         outcome = None  # vbasis alone holds the validation basis
-        lam = _refine_in_frame(vphi, cand)
+        lam, reported = _refine_in_frame(vphi, cand, real)
         records.append(
             EigenvalueRecord(
                 index=len(records),
-                lam=lam,
+                lam=reported,
                 center_used=basis.center,
                 validation_residual=abs(vphi.evaluate(lam)) / vphi.scale,
                 tail_indicator=vbasis.shift_tail,
@@ -339,28 +361,26 @@ def sweep_eigenvalues(problem, config=None, particular=None):
             break
         next_center = _next_center(config, found, basis.center)
         n_main = _main_order(phi, config, lam)
-        if next_center == vbasis.center:
+        if next_center == lam:
+            # delta = 0: the validation basis, centred at the candidate
+            # within ~1e-12 of lam, is the next main basis
             vbasis.grow(n_main)
             basis = vbasis
         elif config.policy != "fixed_center":
-            # Re-expand even when next_center is only ~1e-12 from the
-            # validation center (delta = 0, after refinement): the rebuild
-            # re-picks the best-conditioned f in the new frame.  Reusing the
-            # validation basis instead stalled more sweeps on small
-            # piecewise-constant problems and moved eigenvalues by up to 9e-12.
             try:
                 basis = shift_basis(vbasis, next_center, n_terms=n_main)
             except ShiftFailureError:
                 break  # cannot continue the walk; report what was found
 
-    if _is_real_problem(samples, bc_left, bc_right, config.delta):
-        records = _sorted_by_real_part(records)
-    return records
+    return ordered(records)
 
 
 def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
     """Validate the new roots of ``phi`` nearest its center first.
 
+    A validation basis is built at ``_validation_order``, or at
+    ``_main_order`` when the walk will continue from it: delta = 0, the
+    policy's next center is the candidate, and more eigenvalues are wanted.
     Returns ``(candidate, validation basis, its polynomial)`` for the
     first candidate that passes, or None once a main ``basis`` shorter
     than full order has grown and must be read again: to twice its order
@@ -385,8 +405,14 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
         if short and reach > 0 and _counting_terms(phi, reach)[n_main]:
             basis.grow(min(n_full, max(1, 2 * n_main)))
             return None
+        # a validation basis the walk will continue from is built as a main basis
+        kept = (
+            len(found) + 1 < config.max_eigenvalues
+            and _next_center(config, [*found, cand], basis.center) == cand
+        )
+        n_terms = _main_order(phi, config, cand) if kept else n_valid
         try:
-            vbasis = shift_basis(basis, cand, n_terms=n_valid)
+            vbasis = shift_basis(basis, cand, n_terms=n_terms)
             vphi = assemble_characteristic(vbasis, bc_left, bc_right)
             if vbasis.n_terms < n_full and _counting_terms(vphi, 1.0)[vbasis.n_terms]:
                 # the short series is not complete: its last coefficient
@@ -488,19 +514,30 @@ def _next_center(config, found, current):
     return found[-2] + config.delta
 
 
-def _refine_in_frame(vphi, cand):
+def _refine_in_frame(vphi, cand, real):
     """Nudge the accepted root using the recentred polynomial.
 
     In the validation frame the eigenvalue sits at the series center, where
     the polynomial is most accurate; its nearest root is a strictly better
-    estimate as long as the correction is tiny.
+    estimate as long as the correction is tiny.  Returns the refined lambda
+    and the value to report: its real part when the problem is ``real``,
+    |Im lambda| <= DEDUPE_FACTOR * (1 + |lambda|), and no other root of
+    ``vphi`` lies within 2|Im lambda| (roundoff, not a conjugate pair);
+    else lambda itself.
     """
     # vphi passed validation: finite, with |c0| below its scale, so it has a root
     mu = roots_of(vphi) - vphi.center
-    step = mu[np.argmin(np.abs(mu))]
+    nearest = np.argmin(np.abs(mu))
+    step = mu[nearest]
+    lam = cand
     if abs(step) <= 1e-3 * (1.0 + abs(cand)):
-        return cand + complex(step)
-    return cand
+        lam = cand + complex(step)
+    im = abs(lam.imag)
+    if real and im <= DEDUPE_FACTOR * (1.0 + abs(lam)):
+        others = np.abs(np.delete(mu, nearest) - (lam - vphi.center))
+        if not np.any(others <= 2.0 * im):
+            return lam, complex(lam.real)
+    return lam, lam
 
 
 def characteristic_at(problem, center=0.0):

@@ -56,13 +56,14 @@ def step_setup():
 
 
 def test_seed_zero_potential_closed_form():
+    # with q = 0 the series are y1 = 1 and y2 = x; (1, 0) gives f = 1, whose
+    # ratio min|f|/max|f| = 1 no other pair reaches, so it ranks first
     samples = unit_samples(150)
     ps = build_seed_solution(samples, 10)
-    x = samples.mesh.xs
-    assert np.abs(ps.f.values - (1.0 + 1j * x)).max() <= 1e-14
-    assert np.abs(ps.pf_prime.values - 1j).max() <= 1e-14
+    assert np.array_equal(ps.f.values, np.ones(samples.mesh.xs.size))
+    assert np.array_equal(ps.pf_prime.values, np.zeros(samples.mesh.xs.size))
     assert ps.lambda_star == 0.0
-    assert ps.min_abs >= 1.0 - 1e-14
+    assert ps.min_abs == 1.0
 
 
 def test_seed_step_potential_satisfies_equation():
@@ -161,7 +162,7 @@ def test_seed_falls_through_to_a_later_stock_pair(bundled_problem, monkeypatch):
     samples = sample_problem(bundled_problem("example4"), 2000)
     default = build_seed_solution(samples, 40)
 
-    counts = {"indefinite_integral": 0, "verify_particular": 0}
+    counts = {"indefinite_integral": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -172,44 +173,53 @@ def test_seed_falls_through_to_a_later_stock_pair(bundled_problem, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in [
-        (spps.basis, "indefinite_integral"),
-        (spps.powers, "indefinite_integral"),
-        (spps.basis, "verify_particular"),
-    ]:
-        counting(module, name)
-    orders = _record_orders(monkeypatch)
-    # y2 is 0 at a, so (0, 1) vanishes and the seed falls through to (1, i)
-    pool = spps.basis._COMBINATIONS
-    monkeypatch.setattr(spps.basis, "_COMBINATIONS", ((0.0, 1.0),) + pool)
-    seed = build_seed_solution(samples, 40)
-    assert seed.f.values.tobytes() == default.f.values.tobytes()
-    assert seed.pf_prime.values.tobytes() == default.pf_prime.values.tobytes()
-    assert counts["verify_particular"] == 2
-    # every check integrates its residual, the rejected pair's too
-    (n,) = orders
-    assert counts["indefinite_integral"] == 2 * (2 * n + 1) + counts["verify_particular"]
-
-
-def test_seed_reaches_the_last_pair_of_the_pool(bundled_problem, monkeypatch):
-    # the four stock pairs fail their check, so the seed is y1 alone: (1, 0)
-    samples = sample_problem(bundled_problem("example4"), 2000)
-    default = build_seed_solution(samples, 40)
+    for module in (spps.basis, spps.powers):
+        counting(module, "indefinite_integral")
     checked = []
     original = spps.basis.verify_particular
 
-    def rejecting_four(samples, ps):
+    def first_fails(samples, ps):
         checked.append(ps)
-        if len(checked) <= 4:
+        residual = original(samples, ps)  # a rejection integrates its residual too
+        if len(checked) == 1:
             raise NonvanishingError("forced failure")
-        return original(samples, ps)
+        return residual
 
-    monkeypatch.setattr(spps.basis, "verify_particular", rejecting_four)
+    monkeypatch.setattr(spps.basis, "verify_particular", first_fails)
+    orders = _record_orders(monkeypatch)
     seed = build_seed_solution(samples, 40)
-    assert len(checked) == 5 and seed is checked[-1]
-    # example4 is real, so the default (1, i) seed is y1 + i y2
-    assert np.array_equal(seed.f.values, default.f.values.real)
-    assert np.array_equal(seed.pf_prime.values, default.pf_prime.values.real)
+    # the first-ranked pair is the default seed; its rejection hands over to
+    # the next pair in rank
+    assert len(checked) == 2 and seed is checked[1]
+    assert checked[0].f.values.tobytes() == default.f.values.tobytes()
+    assert checked[0].pf_prime.values.tobytes() == default.pf_prime.values.tobytes()
+    assert not np.array_equal(seed.f.values, default.f.values)
+    # every check integrates its residual, the rejected pair's too
+    (n,) = orders
+    assert counts["indefinite_integral"] == 2 * (2 * n + 1) + len(checked)
+
+
+def test_seed_reaches_the_last_pair_of_the_pool(bundled_problem, monkeypatch):
+    # every pair but the last fails its check, so the seed is the last in rank
+    samples = sample_problem(bundled_problem("example4"), 2000)
+    pool_size = len(spps.basis._COMBINATIONS) + len(spps.basis._SCALED)
+    checked = []
+
+    def rejecting_all_but_the_last(samples, ps):
+        checked.append(ps)
+        if len(checked) < pool_size:
+            raise NonvanishingError("forced failure")
+        return 0.0  # the last pair nearly vanishes on example4: accept it unchecked
+
+    monkeypatch.setattr(spps.basis, "verify_particular", rejecting_all_but_the_last)
+    seed = build_seed_solution(samples, 40)
+    assert len(checked) == pool_size and seed is checked[-1]
+    # the pairs came in decreasing min|f|/max|f| on the ranking's slots
+    n = samples.mesh.xs.size
+    slots = np.r_[0 : n : spps.basis._RANK_STRIDE, n - 1]
+    ratios = [np.abs(ps.f.values[slots]).min() / np.abs(ps.f.values[slots]).max() for ps in checked]
+    assert all(a >= b for a, b in zip(ratios, ratios[1:]))
+    assert len({ps.f.values.tobytes() for ps in checked}) == pool_size
 
 
 def test_failed_checks_leave_no_reference_cycle(bundled_problem, monkeypatch):

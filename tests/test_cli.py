@@ -303,8 +303,8 @@ def test_powers_output_unchanged_by_the_short_build(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "powers", fixture_path("example2_complex.prob"), "--n", "3", "--at", "0.5")
     assert code == 0
     assert out == (
-        "x=0.5 tilde_3=2.2855820051892319+28.959121294279143i "
-        "plain_3=6.8272641321377447-2.580624338105816i\n"
+        "x=0.5 tilde_3=-58.988542070547297+62.706932210940458i "
+        "plain_3=-0.84845084495137102-3.09924192401277i\n"
     )
     assert orders[-1] == 1  # after the seed's own builds
 
@@ -380,15 +380,51 @@ def test_landscape_radius_overflowing_phi_exit_3():
 
 
 def test_solve_short_sweep_prints_table_and_exit_3(tmp_path):
-    # with delta = 20 the walk stops on a failed shift after five eigenvalues
+    # on 200 subintervals, with delta = 20, the walk stops on a failed shift
+    # after two eigenvalues
     out_file = tmp_path / "table.csv"
     proc = run_cli_process(
-        "solve", TRIVIAL, "--delta", "20", "--max-eigs", "6", "--out", out_file
+        "solve", TRIVIAL, "--delta", "20", "--mesh", "200", "--max-eigs", "6", "--out", out_file
     )
     assert proc.returncode == 3
-    assert proc.stderr == "solver error: sweep stopped after 5 of 6 eigenvalues\n"
-    assert len(parse_table(proc.stdout)) == 5
+    assert proc.stderr == "solver error: sweep stopped after 2 of 6 eigenvalues\n"
+    assert len(parse_table(proc.stdout)) == 2
     assert out_file.read_text(encoding="utf-8") == proc.stdout
+
+
+def test_solve_stalled_sweep_prints_what_it_found_and_exit_3(tmp_path):
+    # with delta = 60 the walk accepts five eigenvalues, then stalls
+    out_file = tmp_path / "table.csv"
+    proc = run_cli_process(
+        "solve", TRIVIAL, "--delta", "60", "--max-eigs", "6", "--out", out_file
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("solver error: three consecutive candidates failed validation")
+    assert proc.stderr.count("\n") == 1
+    rows = parse_table(proc.stdout)
+    assert [row["n"] for row in rows] == ["0", "1", "2", "3", "4"]
+    for row, k in zip(rows, (5, 4, 3, 2, 1)):
+        assert abs(float(row["re_lambda"]) + (k * math.pi) ** 2) <= 1e-9 * (k * math.pi) ** 2
+    assert out_file.read_text(encoding="utf-8") == proc.stdout
+    # a stall with nothing found prints only the error line: a 3-term series
+    # reaches no eigenvalue
+    for command in (("solve", TRIVIAL), ("verify", TRIVIAL, fixture_path("table5.ref"))):
+        proc = run_cli_process(*command, "--n-powers", "3", "--max-eigs", "2")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("solver error: three consecutive candidates")
+        assert proc.stderr.count("\n") == 1
+
+
+def test_verify_stalled_sweep_reports_what_it_found(capsys, tmp_path):
+    # the sixth eigenvalue was never reached, so its row fails
+    reference = tmp_path / "six.ref"
+    reference.write_text(
+        "".join(f"{k - 1},{-(k * math.pi) ** 2:.12f},1e-8\n" for k in range(1, 7))
+    )
+    code, out, err = run_cli(capsys, "verify", TRIVIAL, reference, "--delta", "60", "--max-eigs", "6")
+    assert code == 3
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == ["pass"] * 5 + ["FAIL"]
+    assert err.startswith("solver error: three consecutive candidates failed validation")
 
 
 def test_count_nonpositive_radius_exit_2():

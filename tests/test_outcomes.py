@@ -24,17 +24,24 @@ def test_compare_names_each_differing_case(monkeypatch, tmp_path, capsys):
     outcomes = _tool(monkeypatch)
     old, new = tmp_path / "old.txt", tmp_path / "new.txt"
     old.write_text("# header\nseed=2 scan00 ok aa\nseed=2 scan01 stall bb\nseed=10 scan00 ok cc\n")
-    new.write_text("seed=2 scan00 ok aa\nseed=2 scan01 ok dd\nseed=10 scan00 ok cc\n")
+    new.write_text("seed=2 scan00 ok aa\nseed=2 scan01 ok dd\nseed=10 scan00 short ee\n")
     assert outcomes.main(["compare", str(old), str(old)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "verdict: no ok case got worse; no group's non-ok count rose"
+    )
     assert outcomes.main(["compare", str(old), str(new)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
         "differs: seed=2 scan01: stall bb -> ok dd",
+        "differs: seed=10 scan00: ok cc -> short ee",
         "non-ok cases per group (old -> new):",
         "  seed=2: 1 -> 0",
-        "  seed=10: 0 -> 0",
-        "1 of 3 cases differ",
+        "  seed=10: 0 -> 1",
+        "totals (old -> new): ok 2 -> 2, stall 1 -> 0, short 0 -> 1, wrong 0 -> 0",
+        "ok cases no longer ok: 1",
+        "  seed=10 scan00: ok -> short",
+        "2 of 3 cases differ",
+        "verdict: ok cases got worse: 1; groups whose non-ok count rose: 1",
     ]
 
 
@@ -56,5 +63,5 @@ def test_seed_1_statuses_match_the_baseline(monkeypatch):
     }
     assert got == baseline
     assert sorted(label for label, status in got.items() if status != "ok") == [
-        "scan06", "scan14", "scan16", "scan17", "scan22"
+        "scan14", "scan16"
     ]

@@ -25,8 +25,10 @@ every record.  Digests hold only between runs on one machine with one numpy
 build: another CPU or BLAS may round differently.
 
 ``compare`` names every case whose status or digest differs between two
-outputs, prints each side's count of non-ok cases per seed, and exits 1 when
-a case differs.
+outputs, prints each side's count of non-ok cases per seed and its totals
+per status, lists every case that was ok and no longer is, and ends with a
+verdict: whether any ok case got worse and whether any group's non-ok count
+rose.  It exits 1 when a case differs, whatever the verdict.
 """
 
 from __future__ import annotations
@@ -122,6 +124,9 @@ def read(path):
     return table
 
 
+STATUSES = ("ok", "stall", "short", "wrong")
+
+
 def non_ok_per_group(table):
     counts = {}
     for (group, _), (status, _) in table.items():
@@ -135,19 +140,42 @@ def _group_order(group):
     return kind == "fixture", int(seed or 0)
 
 
+def _case_order(key):
+    group, label = key
+    return _group_order(group), label
+
+
 def compare(args):
     old, new = read(args.old), read(args.new)
     differing = 0
-    for key in sorted(old.keys() | new.keys()):
+    for key in sorted(old.keys() | new.keys(), key=_case_order):
         if old.get(key) != new.get(key):
             differing += 1
             before, after = (" ".join(side.get(key, ("missing",))) for side in (old, new))
             print(f"differs: {' '.join(key)}: {before} -> {after}")
     before, after = non_ok_per_group(old), non_ok_per_group(new)
     print("non-ok cases per group (old -> new):")
+    risen = 0
     for group in sorted(before.keys() | after.keys(), key=_group_order):
         print(f"  {group}: {before.get(group, '-')} -> {after.get(group, '-')}")
+        risen += after.get(group, 0) > before.get(group, 0)
+    totals = [[status for status, _ in side.values()] for side in (old, new)]
+    print(
+        "totals (old -> new): "
+        + ", ".join(f"{s} {totals[0].count(s)} -> {totals[1].count(s)}" for s in STATUSES)
+    )
+    lost = [key for key in sorted(old, key=_case_order)
+            if old[key][0] == "ok" and new.get(key, ("missing",))[0] != "ok"]
+    print(f"ok cases no longer ok: {len(lost)}")
+    for key in lost:
+        print(f"  {' '.join(key)}: ok -> {new.get(key, ('missing',))[0]}")
     print(f"{differing} of {len(old.keys() | new.keys())} cases differ")
+    print(
+        "verdict: "
+        + (f"ok cases got worse: {len(lost)}" if lost else "no ok case got worse")
+        + "; "
+        + (f"groups whose non-ok count rose: {risen}" if risen else "no group's non-ok count rose")
+    )
     return 1 if differing else 0
 
 
