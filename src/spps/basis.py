@@ -326,7 +326,8 @@ def build_seed_solution(samples, n_terms):
         ) from exc
     except NonvanishingError as exc:
         raise SeedFailureError(
-            "no stock combination yields a nonvanishing seed solution; "
+            f"no pair of the {len(_COMBINATIONS) + _SCALED.size}-pair pool yields a "
+            "nonvanishing seed solution; "
             "supply a particular solution or start from a nonzero shift"
         ) from exc
 

@@ -13,14 +13,18 @@ by convolution.  Roots come from the companion matrix of the significant part
 of that polynomial and are polished by a few Newton steps.
 
 The sweep walks the spectrum: find the nearest new root, validate it by
-recentring the basis there (a true eigenvalue makes the recentred
-polynomial vanish at its own center), then move the center according to
-the shift schedule and repeat.  When the walk continues from the accepted
-eigenvalue itself (delta = 0 and a policy whose next center is the last
-eigenvalue), the validation basis is the next main basis, centred at the
-candidate within about 1e-12 of the refined eigenvalue: one power-set
-build per eigenvalue.  Otherwise the validation basis is shifted to the
-next center (delta != 0) or dropped (``fixed_center``).
+recentring the basis (a true eigenvalue makes the recentred polynomial
+vanish there), then move the center according to the shift schedule and
+repeat.  When the walk will continue from the candidate, at candidate +
+delta (``always_previous``, or ``previous_if_upper_half`` for a candidate
+in the upper half or real), the validation basis is built there, ahead:
+the candidate passes when |Phi(cand)| / scale of that basis's polynomial,
+read |delta| from its center, is within ``accept_threshold``, and the
+basis is the next main basis, centred within about 1e-12 of the refined
+eigenvalue + delta: one power-set build per eigenvalue.  Otherwise the
+validation basis is centred at the candidate and shifted to the next
+center (``previous_if_upper_half`` after a lower-half eigenvalue) or
+dropped (``fixed_center``).
 
 A basis raises its order only through ``SppsBasis.grow``, on the particular
 solution it was verified with.  A main basis (the one whose polynomial
@@ -344,7 +348,7 @@ def sweep_eigenvalues(problem, config=None, particular=None):
             raise
         if outcome is None:
             continue  # the main basis grew: read its polynomial again
-        cand, vbasis, vphi = outcome
+        cand, vbasis, vphi, ahead = outcome
         outcome = None  # vbasis alone holds the validation basis
         lam, reported = _refine_in_frame(vphi, cand, real)
         records.append(
@@ -359,14 +363,14 @@ def sweep_eigenvalues(problem, config=None, particular=None):
         found.append(lam)
         if len(records) >= config.max_eigenvalues:
             break
-        next_center = _next_center(config, found, basis.center)
         n_main = _main_order(phi, config, lam)
-        if next_center == lam:
-            # delta = 0: the validation basis, centred at the candidate
-            # within ~1e-12 of lam, is the next main basis
+        if ahead:
+            # the validation basis, centred at cand + delta within ~1e-12 of
+            # lam + delta, is the next main basis
             vbasis.grow(n_main)
             basis = vbasis
         elif config.policy != "fixed_center":
+            next_center = _next_center(config, found, basis.center)
             try:
                 basis = shift_basis(vbasis, next_center, n_terms=n_main)
             except ShiftFailureError:
@@ -378,15 +382,20 @@ def sweep_eigenvalues(problem, config=None, particular=None):
 def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
     """Validate the new roots of ``phi`` nearest its center first.
 
-    A validation basis is built at ``_validation_order``, or at
-    ``_main_order`` when the walk will continue from it: delta = 0, the
-    policy's next center is the candidate, and more eigenvalues are wanted.
-    Returns ``(candidate, validation basis, its polynomial)`` for the
-    first candidate that passes, or None once a main ``basis`` shorter
-    than full order has grown and must be read again: to twice its order
-    (at least 1, at most full order) when its last coefficient still
-    counts at the candidate, to full order when it stalls.  A full-order
-    basis that stalls raises ``SweepStalledError``.
+    When the walk will continue from the candidate (more eigenvalues are
+    wanted, the policy is not ``fixed_center``, and its next center is
+    candidate + delta), the validation basis is built at candidate + delta
+    and ``_main_order``; otherwise at the candidate and
+    ``_validation_order``.  Either way the candidate passes when
+    |Phi(cand)| / scale of the validation polynomial is within
+    ``accept_threshold``: |c0| / scale at delta = 0, read |delta| from the
+    center ahead.  A failed ahead validation is not retried at the
+    candidate.  Returns ``(candidate, validation basis, its polynomial,
+    whether it was built ahead)`` for the first candidate that passes, or
+    None once a main ``basis`` shorter than full order has grown and must
+    be read again: to twice its order (at least 1, at most full order) when
+    its last coefficient still counts at the candidate, to full order when
+    it stalls.  A full-order basis that stalls raises ``SweepStalledError``.
     """
     n_full = config.n_terms
     # phi's order: a validation shift may grow the basis past it
@@ -405,27 +414,35 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
         if short and reach > 0 and _counting_terms(phi, reach)[n_main]:
             basis.grow(min(n_full, max(1, 2 * n_main)))
             return None
-        # a validation basis the walk will continue from is built as a main basis
-        kept = (
+        # a validation basis the walk will continue from is built where it
+        # continues, cand + delta, as a main basis
+        ahead = (
             len(found) + 1 < config.max_eigenvalues
-            and _next_center(config, [*found, cand], basis.center) == cand
+            and config.policy != "fixed_center"
+            and _next_center(config, [*found, cand], basis.center) == cand + config.delta
         )
-        n_terms = _main_order(phi, config, cand) if kept else n_valid
+        if ahead:
+            center, n_terms = cand + config.delta, _main_order(phi, config, cand)
+        else:
+            center, n_terms = cand, n_valid
         try:
-            vbasis = shift_basis(basis, cand, n_terms=n_terms)
+            vbasis = shift_basis(basis, center, n_terms=n_terms)
             vphi = assemble_characteristic(vbasis, bc_left, bc_right)
             if vbasis.n_terms < n_full and _counting_terms(vphi, 1.0)[vbasis.n_terms]:
                 # the short series is not complete: its last coefficient
                 # still counts, so the polynomial needs the full order
                 vbasis.grow(n_full)
                 vphi = assemble_characteristic(vbasis, bc_left, bc_right)
-            # an overflowed polynomial fails: its infinite scale would read as residual 0
-            residual = abs(vphi.coeffs[0]) / vphi.scale if math.isfinite(vphi.scale) else math.inf
+            # |c0| when the basis is centred at cand; an overflowed polynomial
+            # fails: its infinite scale would read as residual 0
+            residual = (
+                abs(vphi.evaluate(cand)) / vphi.scale if math.isfinite(vphi.scale) else math.inf
+            )
         except SolverError:
             pass
         else:
             if residual <= config.accept_threshold:
-                return cand, vbasis, vphi
+                return cand, vbasis, vphi, ahead
         vbasis = vphi = None  # free the failed validation basis before the next
         failures += 1
         if failures >= 3:
@@ -435,9 +452,12 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
         return None
     if failures >= 3:
         last = "" if residual is None else f" (last residual {residual:.2e})"
+        # a finer mesh mends most stalls; at delta != 0 so does a shorter step
+        smaller_delta = ", or a smaller delta" if config.delta else ""
         raise SweepStalledError(
             f"three consecutive candidates failed validation near center "
-            f"{basis.center}{last}; increase the power count or the mesh resolution"
+            f"{basis.center}{last}; try a finer mesh first, then more series "
+            f"terms{smaller_delta}"
         )
     raise SweepStalledError(
         f"no further candidate root could be validated from center {basis.center}"
@@ -517,16 +537,17 @@ def _next_center(config, found, current):
 def _refine_in_frame(vphi, cand, real):
     """Nudge the accepted root using the recentred polynomial.
 
-    In the validation frame the eigenvalue sits at the series center, where
-    the polynomial is most accurate; its nearest root is a strictly better
-    estimate as long as the correction is tiny.  Returns the refined lambda
-    and the value to report: its real part when the problem is ``real``,
-    |Im lambda| <= DEDUPE_FACTOR * (1 + |lambda|), and no other root of
-    ``vphi`` lies within 2|Im lambda| (roundoff, not a conjugate pair);
-    else lambda itself.
+    In the validation frame the eigenvalue sits at the series center, or
+    |delta| from it when the basis was built ahead at cand + delta; the
+    root of ``vphi`` nearest ``cand`` is a better estimate as long as the
+    correction is tiny.  At delta = 0 that is the root nearest the center.
+    Returns the refined lambda and the value to report: its real part when
+    the problem is ``real``, |Im lambda| <= DEDUPE_FACTOR * (1 + |lambda|),
+    and no other root of ``vphi`` lies within 2|Im lambda| (roundoff, not a
+    conjugate pair); else lambda itself.
     """
-    # vphi passed validation: finite, with |c0| below its scale, so it has a root
-    mu = roots_of(vphi) - vphi.center
+    # vphi passed validation: finite, with |vphi(cand)| below its scale, so it has a root
+    mu = roots_of(vphi) - cand
     nearest = np.argmin(np.abs(mu))
     step = mu[nearest]
     lam = cand
@@ -534,7 +555,7 @@ def _refine_in_frame(vphi, cand, real):
         lam = cand + complex(step)
     im = abs(lam.imag)
     if real and im <= DEDUPE_FACTOR * (1.0 + abs(lam)):
-        others = np.abs(np.delete(mu, nearest) - (lam - vphi.center))
+        others = np.abs(np.delete(mu, nearest) - (lam - cand))
         if not np.any(others <= 2.0 * im):
             return lam, complex(lam.real)
     return lam, lam

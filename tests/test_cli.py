@@ -180,7 +180,9 @@ def test_solve_overflowing_seed_exit_3(capsys, tmp_path):
     # q is finite, but the seed series overflows to NaN: every check on it must fail
     code, out, err = run_cli(capsys, "solve", _trivial_variant(tmp_path, 'q = "0"', 'q = "1e300"', True))
     assert (code, out) == (3, "")
-    assert err.startswith("solver error: no stock combination yields a nonvanishing seed solution")
+    assert err.startswith(
+        "solver error: no pair of the 45-pair pool yields a nonvanishing seed solution"
+    )
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -380,15 +382,20 @@ def test_landscape_radius_overflowing_phi_exit_3():
 
 
 def test_solve_short_sweep_prints_table_and_exit_3(tmp_path):
-    # on 200 subintervals, with delta = 20, the walk stops on a failed shift
-    # after two eigenvalues
+    # with r = 1 - i every eigenvalue lies in the lower half plane, so under
+    # previous_if_upper_half the walk shifts back from each validation basis;
+    # on 200 subintervals that shift fails after three eigenvalues
     out_file = tmp_path / "table.csv"
+    problem = _trivial_variant(tmp_path, 'r = "1"', 'r = "1-1i"')
     proc = run_cli_process(
-        "solve", TRIVIAL, "--delta", "20", "--mesh", "200", "--max-eigs", "6", "--out", out_file
+        "solve", problem, "--policy", "previous_if_upper_half", "--mesh", "200",
+        "--max-eigs", "6", "--out", out_file,
     )
     assert proc.returncode == 3
-    assert proc.stderr == "solver error: sweep stopped after 2 of 6 eigenvalues\n"
-    assert len(parse_table(proc.stdout)) == 2
+    assert proc.stderr == "solver error: sweep stopped after 3 of 6 eigenvalues\n"
+    rows = parse_table(proc.stdout)
+    assert len(rows) == 3
+    assert all(float(row["im_lambda"]) < 0 for row in rows)
     assert out_file.read_text(encoding="utf-8") == proc.stdout
 
 

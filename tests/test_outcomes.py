@@ -1,5 +1,6 @@
 """The per-case outcome tool under tools/."""
 
+import os
 import sys
 from pathlib import Path
 
@@ -65,3 +66,26 @@ def test_seed_1_statuses_match_the_baseline(monkeypatch):
     assert sorted(label for label, status in got.items() if status != "ok") == [
         "scan14", "scan16"
     ]
+
+
+def test_run_replaces_delta_in_every_case(monkeypatch, capsys):
+    outcomes = _tool(monkeypatch)
+    import workloads
+    from spps import errors, problems, spectral
+
+    cases = workloads.scan_cases(1)[:2]
+    monkeypatch.setattr(workloads, "scan_cases", lambda seed: cases)
+    monkeypatch.setattr(os, "environ", dict(os.environ))  # run pins BLAS threads
+    assert outcomes.main(["run", "--seeds", "1", "--delta", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "# every case solved with delta = 20"
+    assert len(lines) == 2 + len(cases)
+    for case, line in zip(cases, lines[2:]):
+        problem = problems.parse_problem(case.text)
+        assert problem.solver.delta == 0
+        try:
+            records = spectral.sweep_eigenvalues(problems.with_overrides(problem, delta=20.0))
+        except errors.SolverError:
+            records = []
+        assert line.split()[:2] == ["seed=1", case.label]
+        assert line.split()[3] == outcomes.digest(records)

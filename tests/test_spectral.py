@@ -440,15 +440,11 @@ def test_sweep_under_each_policy(bundled_problem, policy, delta):
         # the spectrum is real, so previous_if_upper_half stays on the last one
         if policy == "fixed_center":
             assert centers[k] == 0
-        elif delta == 0:
-            # the validation basis, centred at the candidate that refined into
-            # the last eigenvalue, is the next main basis
-            assert abs(centers[k] - found[k - 1]) <= 1e-12 * abs(found[k - 1])
         else:
-            # the record reports a real eigenvalue with its roundoff imaginary
-            # part zeroed; the walk moved from the refined value itself
-            assert centers[k].real == found[k - 1].real + delta
-            assert abs(centers[k].imag) <= 1e-12
+            # the validation basis, centred at candidate + delta for the
+            # candidate that refined into the last eigenvalue, is the next
+            # main basis
+            assert abs(centers[k] - (found[k - 1] + delta)) <= 1e-12 * abs(found[k - 1])
 
 
 def test_real_eigenvalues_of_a_real_problem_are_reported_real(bundled_problem):
@@ -481,6 +477,33 @@ def test_delta_zero_walk_shifts_once_per_eigenvalue(bundled_problem, monkeypatch
     assert len(records) == 6
     assert len(shifts) == len(records)
     assert min(shifts) > 1.0
+
+
+def test_walk_ahead_builds_once_per_eigenvalue(bundled_problem, monkeypatch):
+    # delta != 0: each validation basis is built at candidate + delta and kept
+    # as the next main basis, so no shift follows an accepted eigenvalue
+    problem = with_overrides(bundled_problem("trivial"), delta=0.5, max_eigenvalues=6)
+    rebuilt = []
+    records, orders = _sweep_with_orders(problem, monkeypatch, rebuilt=rebuilt)
+    first = _grown_from(orders, rebuilt, 0)
+    assert len(records) == 6
+    assert len(orders) - len(first) == len(records)
+
+
+def test_complex_walk_continues_from_its_validation_bases(bundled_problem, monkeypatch):
+    # every eigenvalue of example2_complex lies in the upper half plane, so
+    # previous_if_upper_half continues from each one: record k is found from
+    # the validation basis of record k - 1, centred at its candidate + delta,
+    # and no shift follows an accepted eigenvalue
+    problem = bundled_problem("example2_complex")
+    config = problem.solver
+    rebuilt = []
+    records, orders = _sweep_with_orders(problem, monkeypatch, rebuilt=rebuilt)
+    assert len(records) == config.max_eigenvalues
+    assert len(orders) - len(_grown_from(orders, rebuilt, 0)) == len(records)
+    for prev, rec in zip(records, records[1:]):
+        assert abs(rec.center_used - (prev.lam + config.delta)) <= 1e-12 * (1.0 + abs(prev.lam))
+    assert all(rec.validation_residual <= config.accept_threshold for rec in records)
 
 
 def test_three_piece_walk_reaches_six_eigenvalues():
@@ -590,6 +613,20 @@ def test_sweep_stalls_with_tiny_truncation(n_terms, message):
     problem = with_overrides(plain_problem(n_terms=n_terms, m=200), max_eigenvalues=3)
     with pytest.raises(SweepStalledError, match=message):
         sweep_eigenvalues(problem)
+
+
+def test_stall_message_advises_a_finer_mesh_first(bundled_problem):
+    # a finer mesh mends most stalls; at delta != 0 a smaller delta may too
+    problem = with_overrides(plain_problem(n_terms=3, m=200), max_eigenvalues=3)
+    with pytest.raises(SweepStalledError) as info:
+        sweep_eigenvalues(problem)
+    assert str(info.value).endswith("; try a finer mesh first, then more series terms")
+    problem = with_overrides(bundled_problem("trivial"), delta=60.0, max_eigenvalues=6)
+    with pytest.raises(SweepStalledError) as info:
+        sweep_eigenvalues(problem)
+    assert str(info.value).endswith(
+        "; try a finer mesh first, then more series terms, or a smaller delta"
+    )
 
 
 def test_overflowed_validation_polynomial_fails_validation(bundled_problem, monkeypatch):
@@ -1063,26 +1100,30 @@ def test_main_order_forced_full_matches_default(bundled_problem, monkeypatch, na
 @pytest.mark.parametrize("n_main", [1, 3])
 @pytest.mark.parametrize("name", ["trivial", "three_pieces"])
 def test_short_main_basis_rebuilt_at_full_order(bundled_problem, monkeypatch, name, n_main):
-    # delta != 0: each later main basis is a shift built at _main_order (at
-    # delta = 0 it would be the validation basis, which grows when short)
+    # each later main basis is a validation basis built ahead, at candidate +
+    # delta, at _main_order: forced this short, its last coefficient still
+    # counts, so it grows (doubling its order, or to full order) before its
+    # candidate is accepted
     problem = bundled_problem("trivial") if name == "trivial" else three_piece_problem()
     problem = with_overrides(problem, delta=0.5)
     n_full = problem.solver.n_terms
 
     monkeypatch.setattr(spectral_module, "_main_order", _full_order)
     reference, _ = _sweep_with_orders(problem, monkeypatch)
-    # a later main basis this short still counts at every candidate (order 3),
-    # or on trivial has only the found root and stalls (order 1): before any
-    # candidate of it is validated it grows, doubling its order, or to full order
-    monkeypatch.setattr(
-        spectral_module,
-        "_main_order",
-        lambda phi, config, lam: n_full if phi is None else n_main,
-    )
+    steps = []  # the center of each polynomial that orders a later main basis
+
+    def short_order(phi, config, lam):
+        if phi is None:
+            return n_full
+        if phi.center not in steps:
+            steps.append(phi.center)
+        return n_main
+
+    monkeypatch.setattr(spectral_module, "_main_order", short_order)
     alive_orders, rebuilt = [], []
     forced, forced_orders = _sweep_with_orders(problem, monkeypatch, alive_orders, rebuilt)
     shorts = [i for i, n in enumerate(forced_orders) if n == n_main]
-    assert len(shorts) == len(forced) - 1
+    assert len(shorts) == len(forced) - 1 == len(steps)
     final_orders = []
     for i in shorts:
         grown = _grown_from(forced_orders, rebuilt, i)
@@ -1092,15 +1133,15 @@ def test_short_main_basis_rebuilt_at_full_order(bundled_problem, monkeypatch, na
         assert all(alive_orders[j] == [] for j in range(i + 1, i + len(grown)))
         final_orders.append(grown[-1])
     if n_main == 1 and name == "trivial":
-        assert set(final_orders) == {n_full}  # every one stalled
+        assert set(final_orders) == {n_full}
     _assert_close_records(forced, reference)
     # a grown basis is the basis built at its final order: a sweep that builds
     # each later main basis at that order directly gives the same records
-    final = iter(final_orders)
+    final = dict(zip(steps, final_orders))
     monkeypatch.setattr(
         spectral_module,
         "_main_order",
-        lambda phi, config, lam: n_full if phi is None else next(final),
+        lambda phi, config, lam: n_full if phi is None else final[phi.center],
     )
     direct, _ = _sweep_with_orders(problem, monkeypatch)
     _assert_same_records(forced, direct)

@@ -2,13 +2,16 @@
 
     python3 tools/outcomes.py run --seeds 1-14,31-40,81,91-100 --fixtures > outcomes.txt
     python3 tools/outcomes.py compare tools/outcomes_baseline.txt outcomes.txt
+    python3 tools/outcomes.py run --seeds 1-2 --delta 20 > delta20.txt
 
 ``run`` takes perfbench's own cases (``perfbench/workloads.py``): the
 ``scan_small`` problems of each seed and, with ``--fixtures``, the six bundled
 fixtures.  It sets each one up as perfbench does (``problems.parse_problem``,
 then ``problems.prepare``) and sweeps it with
 ``spectral.sweep_eigenvalues(problem, config, particular=start)``, importing
-the solver from ``src/`` of this checkout.  It prints one line per case,
+the solver from ``src/`` of this checkout.  With ``--delta D`` every case's
+solver settings get delta = D (parsed as ``spps solve --delta`` parses it)
+before ``prepare``, and the header names D.  It prints one line per case,
 
     <group> <case> <status> <digest>
 
@@ -76,10 +79,16 @@ def digest(records):
     return hashlib.sha256(" ".join(fields).encode()).hexdigest()[:16]
 
 
-def outcomes(group, cases, errors, problems, spectral):
-    """``(group, label, status, digest)`` for each case, swept in turn."""
-    _, prepared = worker.setup_once(cases, problems)
-    for case, problem, config, start in prepared:
+def outcomes(group, cases, errors, problems, spectral, delta=None):
+    """``(group, label, status, digest)`` for each case, swept in turn.
+
+    ``delta``, when given, replaces each case's delta before ``prepare``.
+    """
+    for case in cases:
+        problem = problems.parse_problem(case.text)
+        if delta is not None:
+            problem = problems.with_overrides(problem, delta=delta)
+        config, _, _, _, start = problems.prepare(problem)
         try:
             records = spectral.sweep_eigenvalues(problem, config, particular=start)
         except errors.SolverError:
@@ -102,6 +111,10 @@ def run(args):
     import numpy
 
     print(f"# python {sys.version.split()[0]}, numpy {numpy.__version__}")
+    delta = None
+    if args.delta is not None:
+        delta = problems.parse_complex(args.delta)
+        print(f"# every case solved with delta = {problems.format_complex(delta)}")
     seeds = parse_seeds(args.seeds) if args.seeds else []
     groups = [(f"seed={seed}", workloads.scan_cases(seed)) for seed in seeds]
     if args.fixtures:
@@ -109,7 +122,7 @@ def run(args):
         fixture_cases += [workloads._fixture_case(*pair) for pair in FIXTURES]
         groups.append(("fixture", fixture_cases))
     for group, cases in groups:
-        for line in outcomes(group, cases, errors, problems, spectral):
+        for line in outcomes(group, cases, errors, problems, spectral, delta):
             print(" ".join(line), flush=True)
     return 0
 
@@ -185,6 +198,7 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="sweep the cases and print one line per case")
     p_run.add_argument("--seeds", default="", help="scan_small seeds, e.g. 1-14,31-40,81")
     p_run.add_argument("--fixtures", action="store_true", help="also run the six fixtures")
+    p_run.add_argument("--delta", default=None, help="solve every case with this delta instead")
     p_run.set_defaults(func=run)
     p_cmp = sub.add_parser("compare", help="name the cases whose status or digest differ")
     p_cmp.add_argument("old")
