@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .basis import SppsBasis
-from .errors import InputError, SolverError, SweepStalledError
+from .errors import InputError, SolverError
 from .mesh import subinterval_counts
 from .problems import (
     POLICIES,
@@ -104,13 +104,13 @@ def _emit(lines, out):
 
 
 def _sweep(problem):
-    """The sweep's records, and the stall that ended it (None if none did).
+    """The sweep's records, and the solver error that ended it early (or None).
 
-    A stall before any eigenvalue was accepted raises like any solver error.
+    An error before any eigenvalue was accepted raises like any other.
     """
     try:
         return sweep_eigenvalues(problem), None
-    except SweepStalledError as exc:
+    except SolverError as exc:
         if not exc.records:
             raise
         return exc.records, exc
@@ -119,20 +119,12 @@ def _sweep(problem):
 def cmd_solve(args):
     problem = _load_with_overrides(args)
     start = time.perf_counter()
-    records, stall = _sweep(problem)
+    records, failure = _sweep(problem)
     elapsed = time.perf_counter() - start
     _emit(_result_lines(problem, records, elapsed), args.out)
-    if stall is not None:
-        # the table is what was found before the stall, not an answer
-        print(f"solver error: {stall}", file=sys.stderr)
-        return EXIT_SOLVER
-    wanted = problem.solver.max_eigenvalues
-    if len(records) < wanted:
-        # the walk stopped early: the table is all that was found, not an answer
-        print(
-            f"solver error: sweep stopped after {len(records)} of {wanted} eigenvalues",
-            file=sys.stderr,
-        )
+    if failure is not None:
+        # the table is what was found before the failure, not an answer
+        print(f"solver error: {failure}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 
@@ -165,7 +157,7 @@ def cmd_count(args):
 def cmd_verify(args):
     problem = _load_with_overrides(args)
     references = load_reference(args.reference)
-    records, stall = _sweep(problem)
+    records, failure = _sweep(problem)
     report = match_reference([rec.lam for rec in records], references)
     lines = ["n,reference,computed,abs_error,tolerance,status"]
     for n_ref, value, best, err, tol, ok in report:
@@ -174,8 +166,8 @@ def cmd_verify(args):
             f"{_fmt(err)},{_fmt(tol)},{'pass' if ok else 'FAIL'}"
         )
     _emit(lines, args.out)
-    if stall is not None:
-        print(f"solver error: {stall}", file=sys.stderr)
+    if failure is not None:
+        print(f"solver error: {failure}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK if all(row[-1] for row in report) else EXIT_SOLVER
 

@@ -59,7 +59,14 @@ class CoefficientError(InputError):
 
 
 class SolverError(SppsError):
-    """Numerical failure while running the method."""
+    """Numerical failure while running the method.
+
+    Raised from ``sweep_eigenvalues``, ``records`` holds the eigenvalues
+    accepted before the failure, ordered as the sweep returns them (empty
+    when none was).
+    """
+
+    records = ()
 
 
 class NonvanishingError(SolverError):
@@ -71,7 +78,7 @@ class ParticularResidualError(SolverError):
 
 
 class SeedFailureError(SolverError):
-    """No nonvanishing seed solution could be built from the stock combinations."""
+    """No pair of the 45-pair pool mixes the seed series into a usable solution."""
 
 
 class ShiftFailureError(SolverError):
@@ -83,7 +90,7 @@ class ConfigurationError(SolverError):
 
 
 class DegeneratePolynomialError(SolverError):
-    """All characteristic coefficients are below the significance threshold."""
+    """The characteristic coefficients are all zero, or not all finite."""
 
 
 class ContourError(SolverError):
@@ -91,11 +98,5 @@ class ContourError(SolverError):
 
 
 class SweepStalledError(SolverError):
-    """The eigenvalue sweep could not validate any further candidate roots.
-
-    ``records`` holds the eigenvalues accepted before the stall, ordered as
-    ``sweep_eigenvalues`` returns them (empty when none was).
-    """
-
-    records = ()
+    """The eigenvalue sweep could not validate any further candidate roots."""
 

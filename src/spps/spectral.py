@@ -24,7 +24,12 @@ basis is the next main basis, centred within about 1e-12 of the refined
 eigenvalue + delta: one power-set build per eigenvalue.  Otherwise the
 validation basis is centred at the candidate and shifted to the next
 center (``previous_if_upper_half`` after a lower-half eigenvalue) or
-dropped (``fixed_center``).
+dropped (``fixed_center``).  The walk carries the main basis with its
+polynomial and that polynomial's roots, so each polynomial is assembled
+and solved once: a kept validation basis hands on the polynomial it was
+validated with and the roots its refinement read, and under
+``fixed_center`` the main polynomial carries over unless a validation
+shift grew its basis.
 
 A basis raises its order only through ``SppsBasis.grow``, on the particular
 solution it was verified with.  A main basis (the one whose polynomial
@@ -48,8 +53,9 @@ built from it is rejected, and under ``fixed_center`` once per eigenvalue.
 ``prepare`` has verified the start, so the first basis is an unchecked
 ``SppsBasis``.
 
-A stall raises ``SweepStalledError`` carrying the records accepted before
-it.  For a problem with real data, a record reports a real eigenvalue
+A walk either returns every eigenvalue asked for or raises a
+``SolverError`` (a stall, a failed shift) carrying the records accepted
+before it.  For a problem with real data, a record reports a real eigenvalue
 whose imaginary part is roundoff with its imaginary part zeroed
 (``_refine_in_frame``); the walk itself moves on from the value found.
 """
@@ -70,7 +76,6 @@ from .errors import (
     ContourError,
     DegeneratePolynomialError,
     InputError,
-    ShiftFailureError,
     SolverError,
     SweepStalledError,
 )
@@ -323,64 +328,64 @@ def _is_duplicate(candidate, found):
 def sweep_eigenvalues(problem, config=None, particular=None):
     """Walk the spectrum, validating each candidate by recentring.
 
-    Returns EigenvalueRecords.  For problems with entirely real data the
-    records are sorted by real part and reindexed, and an eigenvalue whose
-    imaginary part is roundoff is reported real; otherwise they stay in
-    discovery order.  A stall raises SweepStalledError with the records
-    accepted before it, ordered the same way, as its ``records``.
+    Returns ``config.max_eigenvalues`` EigenvalueRecords.  For problems with
+    entirely real data the records are sorted by real part and reindexed,
+    and an eigenvalue whose imaginary part is roundoff is reported real;
+    otherwise they stay in discovery order.  A walk that cannot go on (a
+    stall, a failed shift, a degenerate polynomial) raises its SolverError
+    with the records accepted before it, ordered the same way, as its
+    ``records``.
     """
     config, samples, bc_left, bc_right, start = prepare(problem, config, particular)
     basis = SppsBasis(start, samples, _main_order(None, config, None))
     real = _is_real_problem(samples, bc_left, bc_right, config.delta)
-
-    def ordered(records):
-        return _sorted_by_real_part(records) if real else records
-
-    records = []
-    found = []
-    while len(records) < config.max_eigenvalues:
-        vbasis = None  # free the last validation basis before the next is built
-        phi = assemble_characteristic(basis, bc_left, bc_right)
-        try:
-            outcome = _validate_nearest(basis, phi, found, config, bc_left, bc_right)
-        except SweepStalledError as exc:
-            exc.records = ordered(records)
-            raise
-        if outcome is None:
-            continue  # the main basis grew: read its polynomial again
-        cand, vbasis, vphi, ahead = outcome
-        outcome = None  # vbasis alone holds the validation basis
-        lam, reported = _refine_in_frame(vphi, cand, real)
-        records.append(
-            EigenvalueRecord(
-                index=len(records),
-                lam=reported,
-                center_used=basis.center,
-                validation_residual=abs(vphi.evaluate(lam)) / vphi.scale,
-                tail_indicator=vbasis.shift_tail,
+    records, found = [], []
+    phi = None  # the main basis's polynomial, with its roots; None: not yet read
+    try:
+        while len(records) < config.max_eigenvalues:
+            vbasis = None  # free the last validation basis before the next is built
+            if phi is None:
+                phi = assemble_characteristic(basis, bc_left, bc_right)
+                roots = roots_of(phi)
+            n_main = basis.n_terms
+            outcome = _validate_nearest(basis, phi, roots, found, config, bc_left, bc_right)
+            if outcome is None:
+                phi = None  # the main basis grew: read its polynomial again
+                continue
+            cand, vbasis, vphi, ahead = outcome
+            outcome = None  # vbasis alone holds the validation basis
+            vroots = roots_of(vphi)
+            lam, reported = _refine_in_frame(vroots, cand, real)
+            records.append(
+                EigenvalueRecord(
+                    index=len(records),
+                    lam=reported,
+                    center_used=basis.center,
+                    validation_residual=abs(vphi.evaluate(lam)) / vphi.scale,
+                    tail_indicator=vbasis.shift_tail,
+                )
             )
-        )
-        found.append(lam)
-        if len(records) >= config.max_eigenvalues:
-            break
-        n_main = _main_order(phi, config, lam)
-        if ahead:
-            # the validation basis, centred at cand + delta within ~1e-12 of
-            # lam + delta, is the next main basis
-            vbasis.grow(n_main)
-            basis = vbasis
-        elif config.policy != "fixed_center":
-            next_center = _next_center(config, found, basis.center)
-            try:
-                basis = shift_basis(vbasis, next_center, n_terms=n_main)
-            except ShiftFailureError:
-                break  # cannot continue the walk; report what was found
+            found.append(lam)
+            if len(records) >= config.max_eigenvalues:
+                break
+            if ahead:
+                # centred at cand + delta, within ~1e-12 of lam + delta: the
+                # next main basis, with its polynomial and roots
+                basis, phi, roots = vbasis, vphi, vroots
+            elif config.policy != "fixed_center":
+                next_center = _next_center(config, found, basis.center)
+                basis = shift_basis(vbasis, next_center, n_terms=_main_order(phi, config, lam))
+                phi = None
+            elif basis.n_terms != n_main:
+                phi = None  # a validation shift grew the main basis
+    except SolverError as exc:
+        exc.records = _sorted_by_real_part(records) if real else records
+        raise
+    return _sorted_by_real_part(records) if real else records
 
-    return ordered(records)
 
-
-def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
-    """Validate the new roots of ``phi`` nearest its center first.
+def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
+    """Validate the new ``candidates`` (the roots of ``phi``) nearest its center first.
 
     When the walk will continue from the candidate (more eigenvalues are
     wanted, the policy is not ``fixed_center``, and its next center is
@@ -401,7 +406,6 @@ def _validate_nearest(basis, phi, found, config, bc_left, bc_right):
     # phi's order: a validation shift may grow the basis past it
     n_main = basis.n_terms
     short = n_main < n_full
-    candidates = roots_of(phi)
     order = np.argsort(np.abs(candidates - basis.center))
     n_valid = _validation_order(phi, config)
     failures = 0
@@ -534,20 +538,20 @@ def _next_center(config, found, current):
     return found[-2] + config.delta
 
 
-def _refine_in_frame(vphi, cand, real):
-    """Nudge the accepted root using the recentred polynomial.
+def _refine_in_frame(vroots, cand, real):
+    """Nudge the accepted root using the roots of the recentred polynomial.
 
     In the validation frame the eigenvalue sits at the series center, or
     |delta| from it when the basis was built ahead at cand + delta; the
-    root of ``vphi`` nearest ``cand`` is a better estimate as long as the
+    root in ``vroots`` nearest ``cand`` is a better estimate as long as the
     correction is tiny.  At delta = 0 that is the root nearest the center.
     Returns the refined lambda and the value to report: its real part when
     the problem is ``real``, |Im lambda| <= DEDUPE_FACTOR * (1 + |lambda|),
-    and no other root of ``vphi`` lies within 2|Im lambda| (roundoff, not a
-    conjugate pair); else lambda itself.
+    and no other root lies within 2|Im lambda| (roundoff, not a conjugate
+    pair); else lambda itself.
     """
-    # vphi passed validation: finite, with |vphi(cand)| below its scale, so it has a root
-    mu = roots_of(vphi) - cand
+    # their polynomial passed validation: finite, |vphi(cand)| below its scale, so it has a root
+    mu = vroots - cand
     nearest = np.argmin(np.abs(mu))
     step = mu[nearest]
     lam = cand

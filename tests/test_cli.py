@@ -384,7 +384,8 @@ def test_landscape_radius_overflowing_phi_exit_3():
 def test_solve_short_sweep_prints_table_and_exit_3(tmp_path):
     # with r = 1 - i every eigenvalue lies in the lower half plane, so under
     # previous_if_upper_half the walk shifts back from each validation basis;
-    # on 200 subintervals that shift fails after three eigenvalues
+    # on 200 subintervals that shift fails after three eigenvalues, and its
+    # own reason follows the table
     out_file = tmp_path / "table.csv"
     problem = _trivial_variant(tmp_path, 'r = "1"', 'r = "1-1i"')
     proc = run_cli_process(
@@ -392,11 +393,33 @@ def test_solve_short_sweep_prints_table_and_exit_3(tmp_path):
         "--max-eigs", "6", "--out", out_file,
     )
     assert proc.returncode == 3
-    assert proc.stderr == "solver error: sweep stopped after 3 of 6 eigenvalues\n"
+    assert proc.stderr.startswith("solver error: shift from ")
+    assert " lost accuracy: " in proc.stderr
+    assert proc.stderr.count("\n") == 1
     rows = parse_table(proc.stdout)
     assert len(rows) == 3
     assert all(float(row["im_lambda"]) < 0 for row in rows)
     assert out_file.read_text(encoding="utf-8") == proc.stdout
+
+
+def test_verify_short_sweep_exit_3(capsys, tmp_path):
+    # every reference row passes, yet the walk stopped on a failed shift
+    # after three of six eigenvalues: not an answer
+    problem = _trivial_variant(tmp_path, 'r = "1"', 'r = "1-1i"')
+    flags = ["--policy", "previous_if_upper_half", "--mesh", "200", "--max-eigs", "6"]
+    code, out, _ = run_cli(capsys, "solve", problem, *flags)
+    assert code == 3
+    reference = tmp_path / "three.ref"
+    reference.write_text(
+        "".join(
+            f"{row['n']},{row['re_lambda']}{float(row['im_lambda']):+.16g}i,1e-8\n"
+            for row in parse_table(out)
+        )
+    )
+    code, out, err = run_cli(capsys, "verify", problem, reference, *flags)
+    assert code == 3
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == ["pass"] * 3
+    assert err.startswith("solver error: shift from ") and " lost accuracy: " in err
 
 
 def test_solve_stalled_sweep_prints_what_it_found_and_exit_3(tmp_path):

@@ -547,6 +547,110 @@ def test_stalled_sweep_carries_its_records(bundled_problem):
     assert list(info.value.records) == []
 
 
+def _lower_half_trivial(tmp_path):
+    """trivial.prob with r = 1 - i: every eigenvalue lies in the lower half plane."""
+    text = fixture_path("trivial.prob").read_text(encoding="utf-8")
+    path = tmp_path / "lower_half.prob"
+    path.write_text(text.replace('r = "1"', 'r = "1-1i"', 1), encoding="utf-8")
+    return path
+
+
+def test_failed_shift_raises_with_the_records_the_cli_prints(tmp_path, capsys):
+    # under previous_if_upper_half the walk shifts back from each lower-half
+    # validation basis; on 200 subintervals the third such shift fails
+    path = _lower_half_trivial(tmp_path)
+    problem = with_overrides(
+        problems_module.load_problem(path),
+        policy="previous_if_upper_half", mesh_m=200, max_eigenvalues=6,
+    )
+    with pytest.raises(ShiftFailureError, match="lost accuracy") as info:
+        sweep_eigenvalues(problem)
+    flags = ["--policy", "previous_if_upper_half", "--mesh", "200", "--max-eigs", "6"]
+    assert cli_module.main(["solve", str(path), *flags]) == 3
+    printed = capsys.readouterr().out.splitlines()[2:]
+    assert len(printed) == 3
+    assert [
+        f"{rec.index},{rec.lam.real:.16g},{rec.lam.imag:.16g},{rec.validation_residual:.16g},"
+        f"{problems_module.format_complex(rec.center_used)}"
+        for rec in info.value.records
+    ] == printed
+
+
+def _sweep_counting_reads(problem, monkeypatch):
+    """Records of the sweep, failing if a polynomial is solved twice or a
+    basis is assembled twice at one order."""
+    assemble, solve = spectral_module.assemble_characteristic, spectral_module.roots_of
+    solved = set()
+
+    def assemble_once(basis, bc_left, bc_right):
+        orders = basis.__dict__.setdefault("assembled_orders", [])  # per handle: no id reuse
+        assert basis.n_terms not in orders
+        orders.append(basis.n_terms)
+        return assemble(basis, bc_left, bc_right)
+
+    def solve_once(phi):
+        key = phi.coeffs.tobytes()
+        assert key not in solved
+        solved.add(key)
+        return solve(phi)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral_module, "assemble_characteristic", assemble_once)
+        m.setattr(spectral_module, "roots_of", solve_once)
+        return sweep_eigenvalues(problem), len(solved)
+
+
+@pytest.mark.parametrize(
+    "name, policy",
+    [("trivial", None), ("example4", None), ("trivial", "fixed_center")],
+    ids=["trivial", "example4", "trivial-fixed_center"],
+)
+def test_each_polynomial_is_assembled_and_solved_once(bundled_problem, monkeypatch, name, policy):
+    problem = bundled_problem(name)
+    assert problem.solver.delta == 0
+    if policy is not None:
+        problem = with_overrides(problem, policy=policy)
+    records, solved = _sweep_counting_reads(problem, monkeypatch)
+    assert len(records) == problem.solver.max_eigenvalues
+    # the start basis's polynomials as it grows, then one per validation basis
+    assert solved >= 1 + len(records)
+
+
+def test_fixed_center_reads_a_main_basis_grown_by_validation_again(monkeypatch):
+    # scan_small seed 2 scan12 under fixed_center: a validation shift grows
+    # the main basis, so its polynomial is assembled again at the new order
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    case = workloads.scan_cases(2)[12]
+    assert case.label == "scan12"
+    problem = with_overrides(parse_problem(case.text), policy="fixed_center")
+    assemble, shift = spectral_module.assemble_characteristic, spectral_module.shift_basis
+    main_orders, grown = [], []
+
+    def recording_assemble(basis, bc_left, bc_right):
+        if sys._getframe(1).f_code.co_name == "sweep_eigenvalues":
+            main_orders.append(basis.n_terms)
+        return assemble(basis, bc_left, bc_right)
+
+    def recording_shift(basis, *args, **kwargs):
+        before = basis.n_terms
+        try:
+            return shift(basis, *args, **kwargs)
+        finally:
+            if basis.n_terms != before:
+                grown.append(basis.n_terms)
+
+    monkeypatch.setattr(spectral_module, "assemble_characteristic", recording_assemble)
+    monkeypatch.setattr(spectral_module, "shift_basis", recording_shift)
+    with pytest.raises(SweepStalledError) as info:
+        sweep_eigenvalues(problem)
+    assert len(info.value.records) == 5
+    assert grown and set(grown) <= set(main_orders)
+    assert len(main_orders) == len(set(main_orders))
+
+
 def test_upper_half_policy_stays_on_real_eigenvalue(bundled_problem):
     # -4 pi^2 comes out with an imaginary part of about -1.9e-13: roundoff,
     # so the third eigenvalue is found from -4 pi^2, not from -pi^2

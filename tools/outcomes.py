@@ -19,7 +19,10 @@ with group ``seed=N`` or ``fixture`` and status
 
 * ``ok``: every eigenvalue asked for, all passing the case's gate;
 * ``stall``: the sweep raised a ``SolverError``;
-* ``short``: fewer eigenvalues than asked for, none of them wrong;
+* ``short``: fewer eigenvalues than asked for, none of them wrong.  The
+  library no longer returns a short list (a walk that ends early raises a
+  ``SolverError`` with its records, a ``stall`` here), so no case reads
+  ``short``; the status stays so that older outputs still compare;
 * ``wrong``: the gate (``Case.check``, which perfbench's judge applies)
   rejects a returned eigenvalue.
 
