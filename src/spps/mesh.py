@@ -73,7 +73,6 @@ class Mesh:
     """Panel-aligned sampling grid over a tiled interval.
 
     Attributes:
-        interval: the underlying interval [a, b].
         piece_bounds: (lo, hi) per piece.
         piece_nsub: subinterval count per piece (each a positive multiple of 5).
         offsets: slot index of each piece's first node in the expanded grid.
@@ -81,7 +80,6 @@ class Mesh:
         breakpoint_slots: (left_slot, right_slot) pairs for interior breakpoints.
     """
 
-    interval: Interval
     piece_bounds: tuple
     piece_nsub: tuple
     offsets: tuple
@@ -185,7 +183,6 @@ def build_mesh(interval, pieces, m):
         panel_h.append(np.full(count // 5, (bounds[i][1] - bounds[i][0]) / count))
 
     return Mesh(
-        interval=interval,
         piece_bounds=bounds,
         piece_nsub=nsub,
         offsets=tuple(offsets),

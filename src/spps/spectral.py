@@ -14,32 +14,33 @@ of that polynomial and are polished by a few Newton steps.
 
 The sweep walks the spectrum: find the nearest new root, validate it by
 recentring the basis (a true eigenvalue makes the recentred polynomial
-vanish there), then move the center according to the shift schedule and
-repeat.  When the walk will continue from the candidate, at candidate +
-delta (``always_previous``, or ``previous_if_upper_half`` for a candidate
-in the upper half or real), the validation basis is built there, ahead:
-the candidate passes when |Phi(cand)| / scale of that basis's polynomial,
-read |delta| from its center, is within ``accept_threshold``, and the
-basis is the next main basis, centred within about 1e-12 of the refined
-eigenvalue + delta: one power-set build per eigenvalue.  Otherwise the
-validation basis is centred at the candidate and shifted to the next
-center (``previous_if_upper_half`` after a lower-half eigenvalue) or
-dropped (``fixed_center``).  The walk carries the main basis with its
-polynomial and that polynomial's roots, so each polynomial is assembled
-and solved once: a kept validation basis hands on the polynomial it was
-validated with and the roots its refinement read, and under
-``fixed_center`` the main polynomial carries over unless a validation
-shift grew its basis.
+vanish there), then move the center and repeat.  ``_next_center``, the one
+reader of the shift policy, names the next center once per candidate, and
+the walk compares centers.  It continues when that center is candidate +
+delta: the validation basis is built there, ahead, the candidate passes
+when |Phi(cand)| / scale of its polynomial, read |delta| from its center,
+is within ``accept_threshold``, and it is the next main basis, centred
+within about 1e-12 of the refined eigenvalue + delta: one power-set build
+per eigenvalue.  It stays when that center is the main basis's own
+(``fixed_center``, or ``previous_if_upper_half`` falling back to the
+eigenvalue the main basis was built at): the validation basis, centred at
+the candidate, is dropped.  Otherwise it shifts that validation basis to
+the next center.  The walk carries the main basis with its polynomial and
+that polynomial's roots, so each polynomial is assembled and solved once:
+a kept validation basis hands on the polynomial it was validated with and
+the roots its refinement read, and where the walk stays the main
+polynomial carries over unless a validation shift grew its basis.
 
 A basis raises its order only through ``SppsBasis.grow``, on the particular
-solution it was verified with.  A main basis (the one whose polynomial
-gives the next candidates), a kept validation basis included, is built at
-the order its predecessor's polynomial needs over twice the distance to
-the eigenvalue it accepted, plus a margin; the first, with no predecessor,
-at two terms plus the margin.  Where its last coefficient still counts at
-the nearest new candidate, it grows to twice its order (capped at full
-order) before that candidate is validated; when it stalls, to full order.
-A validation basis that is not kept is built at the order the current
+solution it was verified with.  A basis the walk continues from (a main
+basis, whose polynomial gives the next candidates, or a validation basis
+kept or shifted onward) is built at the order its predecessor's polynomial
+needs over twice the distance to the eigenvalue it accepted, plus a margin,
+so a shift onward never grows its source; the first, with no predecessor,
+at two terms plus the margin.  Where a main basis's last coefficient still
+counts at the nearest new candidate, it grows to twice its order (capped at
+full order) before that candidate is validated; when it stalls, to full
+order.  A validation basis the walk drops is built at the order the current
 polynomial needs near its center and one step beyond.  Either grows to
 full order when its polynomial's last coefficient still counts.
 
@@ -49,7 +50,7 @@ solution before it frees its source, so a failed check leaves the main
 basis's rows in place; a validation shift that needs more terms than the
 main basis has grows that basis.  A main basis is rebuilt on its particular
 solution, at its order, when it is read again: after a validation basis
-built from it is rejected, and under ``fixed_center`` once per eigenvalue.
+built from it is rejected, and once each time the walk stays on it.
 ``prepare`` has verified the start, so the first basis is an unchecked
 ``SppsBasis``.
 
@@ -352,7 +353,7 @@ def sweep_eigenvalues(problem, config=None, particular=None):
             if outcome is None:
                 phi = None  # the main basis grew: read its polynomial again
                 continue
-            cand, vbasis, vphi, ahead = outcome
+            cand, vbasis, vphi, next_center = outcome
             outcome = None  # vbasis alone holds the validation basis
             vroots = roots_of(vphi)
             lam, reported = _refine_in_frame(vroots, cand, real)
@@ -368,16 +369,16 @@ def sweep_eigenvalues(problem, config=None, particular=None):
             found.append(lam)
             if len(records) >= config.max_eigenvalues:
                 break
-            if ahead:
-                # centred at cand + delta, within ~1e-12 of lam + delta: the
-                # next main basis, with its polynomial and roots
+            if vbasis.center == next_center:
+                # built where the walk continues, within ~1e-12 of lam + delta:
+                # the next main basis, with its polynomial and roots
                 basis, phi, roots = vbasis, vphi, vroots
-            elif config.policy != "fixed_center":
-                next_center = _next_center(config, found, basis.center)
-                basis = shift_basis(vbasis, next_center, n_terms=_main_order(phi, config, lam))
+            elif _is_duplicate(next_center, [basis.center]):
+                if basis.n_terms != n_main:
+                    phi = None  # a validation shift grew the main basis
+            else:
+                basis = shift_basis(vbasis, next_center)
                 phi = None
-            elif basis.n_terms != n_main:
-                phi = None  # a validation shift grew the main basis
     except SolverError as exc:
         exc.records = _sorted_by_real_part(records) if real else records
         raise
@@ -387,20 +388,19 @@ def sweep_eigenvalues(problem, config=None, particular=None):
 def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
     """Validate the new ``candidates`` (the roots of ``phi``) nearest its center first.
 
-    When the walk will continue from the candidate (more eigenvalues are
-    wanted, the policy is not ``fixed_center``, and its next center is
-    candidate + delta), the validation basis is built at candidate + delta
-    and ``_main_order``; otherwise at the candidate and
-    ``_validation_order``.  Either way the candidate passes when
-    |Phi(cand)| / scale of the validation polynomial is within
-    ``accept_threshold``: |c0| / scale at delta = 0, read |delta| from the
-    center ahead.  A failed ahead validation is not retried at the
+    ``_next_center`` names where the walk goes after each candidate.  The
+    validation basis is built there when that is candidate + delta and more
+    eigenvalues are wanted, else at the candidate, at the order of a basis
+    the walk continues from or drops (see the module docstring).  The
+    candidate passes when |Phi(cand)| / scale of the validation polynomial
+    is within ``accept_threshold``: |c0| / scale at delta = 0, read |delta|
+    from the center ahead.  A failed ahead validation is not retried at the
     candidate.  Returns ``(candidate, validation basis, its polynomial,
-    whether it was built ahead)`` for the first candidate that passes, or
-    None once a main ``basis`` shorter than full order has grown and must
-    be read again: to twice its order (at least 1, at most full order) when
-    its last coefficient still counts at the candidate, to full order when
-    it stalls.  A full-order basis that stalls raises ``SweepStalledError``.
+    next center)`` for the first candidate that passes, or None once a
+    main ``basis`` shorter than full order has grown and must be read
+    again: to twice its order (at least 1, at most full order) when its
+    last coefficient still counts at the candidate, to full order when it
+    stalls.  A full-order basis that stalls raises ``SweepStalledError``.
     """
     n_full = config.n_terms
     # phi's order: a validation shift may grow the basis past it
@@ -418,17 +418,17 @@ def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
         if short and reach > 0 and _counting_terms(phi, reach)[n_main]:
             basis.grow(min(n_full, max(1, 2 * n_main)))
             return None
-        # a validation basis the walk will continue from is built where it
-        # continues, cand + delta, as a main basis
-        ahead = (
-            len(found) + 1 < config.max_eigenvalues
-            and config.policy != "fixed_center"
-            and _next_center(config, [*found, cand], basis.center) == cand + config.delta
-        )
-        if ahead:
-            center, n_terms = cand + config.delta, _main_order(phi, config, cand)
+        # a basis the walk continues from is built as a main basis, one it
+        # drops as a validation basis
+        next_center = _next_center(config, [*found, cand], basis.center)
+        if len(found) + 1 >= config.max_eigenvalues:
+            center, n_terms = cand, n_valid  # the last eigenvalue: dropped
+        elif next_center == cand + config.delta:
+            center, n_terms = next_center, _main_order(phi, config, cand)  # continue
+        elif _is_duplicate(next_center, [basis.center]):
+            center, n_terms = cand, n_valid  # stay: dropped
         else:
-            center, n_terms = cand, n_valid
+            center, n_terms = cand, _main_order(phi, config, cand)  # shifted onward
         try:
             vbasis = shift_basis(basis, center, n_terms=n_terms)
             vphi = assemble_characteristic(vbasis, bc_left, bc_right)
@@ -446,7 +446,7 @@ def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
             pass
         else:
             if residual <= config.accept_threshold:
-                return cand, vbasis, vphi, ahead
+                return cand, vbasis, vphi, next_center
         vbasis = vphi = None  # free the failed validation basis before the next
         failures += 1
         if failures >= 3:
@@ -524,7 +524,7 @@ def _main_order(phi, config, lam):
 
 
 def _next_center(config, found, current):
-    """Center for the next step of the sweep under ``config.policy``."""
+    """Center for the next step of the sweep: the one reader of ``config.policy``."""
     if config.policy == "fixed_center" or not found:
         return current
     if config.policy == "always_previous":

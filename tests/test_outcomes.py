@@ -4,6 +4,8 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "tools" / "outcomes_baseline.txt"
 
@@ -25,7 +27,7 @@ def test_compare_names_each_differing_case(monkeypatch, tmp_path, capsys):
     outcomes = _tool(monkeypatch)
     old, new = tmp_path / "old.txt", tmp_path / "new.txt"
     old.write_text("# header\nseed=2 scan00 ok aa\nseed=2 scan01 stall bb\nseed=10 scan00 ok cc\n")
-    new.write_text("seed=2 scan00 ok aa\nseed=2 scan01 ok dd\nseed=10 scan00 short ee\n")
+    new.write_text("seed=2 scan00 ok aa\nseed=2 scan01 ok dd\nseed=10 scan00 wrong ee\n")
     assert outcomes.main(["compare", str(old), str(old)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
         "verdict: no ok case got worse; no group's non-ok count rose"
@@ -34,38 +36,76 @@ def test_compare_names_each_differing_case(monkeypatch, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
         "differs: seed=2 scan01: stall bb -> ok dd",
-        "differs: seed=10 scan00: ok cc -> short ee",
+        "differs: seed=10 scan00: ok cc -> wrong ee",
         "non-ok cases per group (old -> new):",
         "  seed=2: 1 -> 0",
         "  seed=10: 0 -> 1",
-        "totals (old -> new): ok 2 -> 2, stall 1 -> 0, short 0 -> 1, wrong 0 -> 0",
+        "totals (old -> new): ok 2 -> 2, stall 1 -> 0, wrong 0 -> 1",
         "ok cases no longer ok: 1",
-        "  seed=10 scan00: ok -> short",
+        "  seed=10 scan00: ok -> wrong",
         "2 of 3 cases differ",
         "verdict: ok cases got worse: 1; groups whose non-ok count rose: 1",
     ]
+
+
+def _seed_1_statuses(outcomes, baseline, cases, **overrides):
+    """Seed 1's statuses as swept here and as ``baseline`` records them."""
+    from spps import errors, problems, spectral
+
+    got = {
+        label: status
+        for _, label, status, _ in outcomes.outcomes(
+            "seed=1", cases, errors, problems, spectral, **overrides
+        )
+    }
+    table = outcomes.read(baseline)
+    return got, {label: status for (group, label), (status, _) in table.items() if group == "seed=1"}
 
 
 def test_seed_1_statuses_match_the_baseline(monkeypatch):
     # statuses, unlike digests, do not depend on the machine's rounding
     outcomes = _tool(monkeypatch)
     import workloads
-    from spps import errors, problems, spectral
 
-    got = {
-        label: status
-        for _, label, status, _ in outcomes.outcomes(
-            "seed=1", workloads.scan_cases(1), errors, problems, spectral
-        )
-    }
-    baseline = {
-        label: status for (group, label), (status, _) in outcomes.read(BASELINE).items()
-        if group == "seed=1"
-    }
+    got, baseline = _seed_1_statuses(outcomes, BASELINE, workloads.scan_cases(1))
     assert got == baseline
     assert sorted(label for label, status in got.items() if status != "ok") == [
         "scan14", "scan16"
     ]
+
+
+@pytest.mark.parametrize(
+    "baseline, policy, complex_q, stalls",
+    [
+        ("outcomes_baseline_fixed_center.txt", "fixed_center", False, 22),
+        ("outcomes_baseline_complex_upper.txt", "previous_if_upper_half", True, 0),
+    ],
+    ids=["fixed_center", "complex-previous_if_upper_half"],
+)
+def test_seed_1_statuses_match_each_policy_baseline(monkeypatch, baseline, policy, complex_q, stalls):
+    outcomes = _tool(monkeypatch)
+    import workloads
+
+    cases = outcomes.complex_cases(1) if complex_q else workloads.scan_cases(1)
+    got, recorded = _seed_1_statuses(outcomes, BASELINE.parent / baseline, cases, policy=policy)
+    assert got == recorded
+    assert list(got.values()).count("stall") == stalls
+    assert "wrong" not in got.values()
+
+
+def test_complex_cases_add_an_imaginary_part_to_each_q(monkeypatch):
+    outcomes = _tool(monkeypatch)
+    import workloads
+    from spps import expressions, problems
+
+    real, made = workloads.scan_cases(2), outcomes.complex_cases(2)
+    assert [case.label for case in made] == [case.label for case in real]
+    for before, after in zip(real, made):
+        old, new = (problems.parse_problem(case.text).pieces for case in (before, after))
+        assert [piece.lo for piece in new] == [piece.lo for piece in old]
+        for a, b in zip(old, new):
+            q_old, q_new = (expressions.const_value(piece.q) for piece in (a, b))
+            assert q_new.real == q_old.real and q_old.imag == 0 and 0 < abs(q_new.imag) <= 3
 
 
 def test_run_replaces_delta_in_every_case(monkeypatch, capsys):
@@ -85,7 +125,7 @@ def test_run_replaces_delta_in_every_case(monkeypatch, capsys):
         assert problem.solver.delta == 0
         try:
             records = spectral.sweep_eigenvalues(problems.with_overrides(problem, delta=20.0))
-        except errors.SolverError:
-            records = []
+        except errors.SolverError as exc:
+            records = exc.records
         assert line.split()[:2] == ["seed=1", case.label]
         assert line.split()[3] == outcomes.digest(records)

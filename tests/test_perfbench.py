@@ -21,9 +21,8 @@ def test_perfbench_selftest_passes():
     assert "selftest passed" in proc.stdout
 
 
-# the outcome tool's statuses as perfbench's judge names them: a stall and a
-# short walk both count as stalled
-PERFBENCH_STATUS = {"ok": "ok", "stall": "stalled", "short": "stalled", "wrong": "wrong"}
+# the outcome tool's statuses as perfbench's judge names them
+PERFBENCH_STATUS = {"ok": "ok", "stall": "stalled", "wrong": "wrong"}
 
 
 def test_scan_small_seed_1_outcomes(monkeypatch):

@@ -651,6 +651,31 @@ def test_fixed_center_reads_a_main_basis_grown_by_validation_again(monkeypatch):
     assert len(main_orders) == len(set(main_orders))
 
 
+def test_lower_half_walk_stays_on_its_main_basis(monkeypatch):
+    # seed 1 scan03 of tools/outcomes.py --complex: every eigenvalue lies in
+    # the lower half, so previous_if_upper_half falls back one eigenvalue.
+    # For the third that is the one the main basis was built at: the walk
+    # stays on it.  From then on each validation basis is built at main
+    # order and shifted onward without growing first (validating at
+    # validation order, then growing and shifting, took 18 builds).
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import outcomes
+
+    case = outcomes.complex_cases(1)[3]
+    assert case.label == "scan03"
+    problem = with_overrides(parse_problem(case.text), policy="previous_if_upper_half")
+    power_builds = track_power_sets(monkeypatch)
+    records = sweep_eigenvalues(problem)
+    assert len(records) == 6 and all(rec.lam.imag < 0 for rec in records)
+    assert case.check([rec.lam for rec in records]) is None
+    assert len(power_builds) == 14
+    # the first basis grows twice; no shift onward grows its source
+    assert [how for _, _, how in power_builds].count("grow") == 2
+    assert records[2].center_used == records[1].center_used
+
+
 def test_upper_half_policy_stays_on_real_eigenvalue(bundled_problem):
     # -4 pi^2 comes out with an imaginary part of about -1.9e-13: roundoff,
     # so the third eigenvalue is found from -4 pi^2, not from -pi^2

@@ -166,3 +166,15 @@ def test_only_shift_basis_constructs_and_only_grow_raises_an_order():
         if isinstance(part, ast.Attribute) and part.attr == "n_terms"
     ]
     assert sorted(assigned) == ["SppsBasis.__init__", "SppsBasis.grow"]
+
+
+def test_only_next_center_reads_the_policy():
+    """Inside ``spectral``, ``.policy`` is read only by ``_next_center``: the
+    sweep compares centers, never policy names."""
+    tree = _module_trees()["spectral"]
+    owner = _enclosing_functions(tree)
+    readers = [
+        owner.get(id(node)) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "policy"
+    ]
+    assert readers and set(readers) == {"_next_center"}

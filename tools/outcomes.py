@@ -3,6 +3,8 @@
     python3 tools/outcomes.py run --seeds 1-14,31-40,81,91-100 --fixtures > outcomes.txt
     python3 tools/outcomes.py compare tools/outcomes_baseline.txt outcomes.txt
     python3 tools/outcomes.py run --seeds 1-2 --delta 20 > delta20.txt
+    python3 tools/outcomes.py run --seeds 1-3 --policy fixed_center > fixed.txt
+    python3 tools/outcomes.py run --seeds 1-2 --complex --policy previous_if_upper_half
 
 ``run`` takes perfbench's own cases (``perfbench/workloads.py``): the
 ``scan_small`` problems of each seed and, with ``--fixtures``, the six bundled
@@ -11,7 +13,12 @@ then ``problems.prepare``) and sweeps it with
 ``spectral.sweep_eigenvalues(problem, config, particular=start)``, importing
 the solver from ``src/`` of this checkout.  With ``--delta D`` every case's
 solver settings get delta = D (parsed as ``spps solve --delta`` parses it)
-before ``prepare``, and the header names D.  It prints one line per case,
+before ``prepare``, and the header names D; ``--policy P`` does the same for
+the shift policy.  With ``--complex`` each ``scan_small`` piece's q gains an
+imaginary part drawn from ``random.Random(10_000 + seed).uniform(-3, 3)``,
+rounded to 12 decimals, in case and piece order; the case keeps its
+closed-form gate, which takes complex q as it is.  It prints one line per
+case,
 
     <group> <case> <status> <digest>
 
@@ -19,15 +26,12 @@ with group ``seed=N`` or ``fixture`` and status
 
 * ``ok``: every eigenvalue asked for, all passing the case's gate;
 * ``stall``: the sweep raised a ``SolverError``;
-* ``short``: fewer eigenvalues than asked for, none of them wrong.  The
-  library no longer returns a short list (a walk that ends early raises a
-  ``SolverError`` with its records, a ``stall`` here), so no case reads
-  ``short``; the status stays so that older outputs still compare;
 * ``wrong``: the gate (``Case.check``, which perfbench's judge applies)
   rejects a returned eigenvalue.
 
 The digest is a SHA-256 prefix over the ``float.hex`` of every field of
-every record.  Digests hold only between runs on one machine with one numpy
+every record; a stall's digest covers the records its ``SolverError``
+carries.  Digests hold only between runs on one machine with one numpy
 build: another CPU or BLAS may round differently.
 
 ``compare`` names every case whose status or digest differs between two
@@ -40,8 +44,10 @@ rose.  It exits 1 when a case differs, whatever the verdict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -82,28 +88,44 @@ def digest(records):
     return hashlib.sha256(" ".join(fields).encode()).hexdigest()[:16]
 
 
-def outcomes(group, cases, errors, problems, spectral, delta=None):
+class _ProblemComplex(complex):
+    """A complex q that ``workloads.spec_to_text`` writes in problem-file syntax."""
+
+    def __repr__(self):
+        return f"{self.real!r}{self.imag:+}i"
+
+
+def complex_cases(seed):
+    """``workloads.scan_cases(seed)`` with an imaginary part on each piece's q."""
+    specs, imag = random.Random(seed), random.Random(10_000 + seed)
+    cases = []
+    for case in workloads.scan_cases(seed):
+        spec = workloads.draw_spec(specs)  # the spec scan_cases drew for this case
+        pieces = tuple(
+            (lo, hi, p, _ProblemComplex(q, round(imag.uniform(-3.0, 3.0), 12)), r)
+            for lo, hi, p, q, r in spec.pieces
+        )
+        spec = dataclasses.replace(spec, pieces=pieces)
+        text, check = workloads.spec_to_text(spec), workloads._scan_check(spec)
+        cases.append(dataclasses.replace(case, text=text, check=check))
+    return cases
+
+
+def outcomes(group, cases, errors, problems, spectral, **overrides):
     """``(group, label, status, digest)`` for each case, swept in turn.
 
-    ``delta``, when given, replaces each case's delta before ``prepare``.
+    ``overrides`` (delta, policy) replace each case's solver settings before
+    ``prepare``.
     """
     for case in cases:
-        problem = problems.parse_problem(case.text)
-        if delta is not None:
-            problem = problems.with_overrides(problem, delta=delta)
+        problem = problems.with_overrides(problems.parse_problem(case.text), **overrides)
         config, _, _, _, start = problems.prepare(problem)
         try:
             records = spectral.sweep_eigenvalues(problem, config, particular=start)
-        except errors.SolverError:
-            yield group, case.label, "stall", digest([])
+        except errors.SolverError as exc:
+            yield group, case.label, "stall", digest(exc.records)
             continue
-        eigs = [rec.lam for rec in records]
-        if eigs and case.check(eigs) is not None:
-            status = "wrong"
-        elif len(eigs) < case.expected_count:
-            status = "short"
-        else:
-            status = "ok"
+        status = "wrong" if case.check([rec.lam for rec in records]) is not None else "ok"
         yield group, case.label, status, digest(records)
 
 
@@ -114,18 +136,26 @@ def run(args):
     import numpy
 
     print(f"# python {sys.version.split()[0]}, numpy {numpy.__version__}")
-    delta = None
+    overrides = {}
     if args.delta is not None:
-        delta = problems.parse_complex(args.delta)
-        print(f"# every case solved with delta = {problems.format_complex(delta)}")
+        overrides["delta"] = problems.parse_complex(args.delta)
+        print(f"# every case solved with delta = {problems.format_complex(overrides['delta'])}")
+    if args.policy is not None:
+        if args.policy not in problems.POLICIES:
+            raise SystemExit(f"unknown policy {args.policy!r}; pick one of {problems.POLICIES}")
+        overrides["policy"] = args.policy
+        print(f"# every case solved with policy = {args.policy}")
+    if args.complex:
+        print("# every scan_small piece's q made complex, from random.Random(10000 + seed)")
     seeds = parse_seeds(args.seeds) if args.seeds else []
-    groups = [(f"seed={seed}", workloads.scan_cases(seed)) for seed in seeds]
+    draw = complex_cases if args.complex else workloads.scan_cases
+    groups = [(f"seed={seed}", draw(seed)) for seed in seeds]
     if args.fixtures:
         fixture_cases = [workloads._trivial_case()]
         fixture_cases += [workloads._fixture_case(*pair) for pair in FIXTURES]
         groups.append(("fixture", fixture_cases))
     for group, cases in groups:
-        for line in outcomes(group, cases, errors, problems, spectral, delta):
+        for line in outcomes(group, cases, errors, problems, spectral, **overrides):
             print(" ".join(line), flush=True)
     return 0
 
@@ -140,7 +170,7 @@ def read(path):
     return table
 
 
-STATUSES = ("ok", "stall", "short", "wrong")
+STATUSES = ("ok", "stall", "wrong")
 
 
 def non_ok_per_group(table):
@@ -202,6 +232,10 @@ def main(argv=None):
     p_run.add_argument("--seeds", default="", help="scan_small seeds, e.g. 1-14,31-40,81")
     p_run.add_argument("--fixtures", action="store_true", help="also run the six fixtures")
     p_run.add_argument("--delta", default=None, help="solve every case with this delta instead")
+    p_run.add_argument("--policy", default=None, help="solve every case with this shift policy")
+    p_run.add_argument(
+        "--complex", action="store_true", help="give each scan_small piece's q an imaginary part"
+    )
     p_run.set_defaults(func=run)
     p_cmp = sub.add_parser("compare", help="name the cases whose status or digest differ")
     p_cmp.add_argument("old")
