@@ -410,18 +410,14 @@ def shift_basis(basis, new_center, n_terms=None):
     it, and no other pair, while ``basis`` still holds its rows: a failure
     raises ShiftFailureError and leaves ``basis`` as it was.  Only then are
     the rows of ``basis`` freed and the powers built on the combination, so
-    one power set is alive at a time.  ``n_terms`` defaults to the basis's
-    own order; when a shorter basis's tail at ``new_center`` exceeds
-    EXACT_TAIL, ``basis`` grows to ``n_terms`` and evaluates again.  The
-    returned basis carries the series tail at ``new_center`` as
-    ``shift_tail``.
+    one power set is alive at a time.  ``basis`` is read at its own order,
+    which the shift never changes; ``n_terms`` (default: that order) sets
+    only the order of the new basis.  The returned basis carries the series
+    tail at ``new_center`` as ``shift_tail``.
     """
     new_center = complex(new_center)
     n_terms = basis.n_terms if n_terms is None else n_terms
     u1, pu1, u2, pu2, tail = evaluate_solution(basis, new_center)
-    if basis.n_terms < n_terms and tail > EXACT_TAIL:
-        basis.grow(n_terms)
-        u1, pu1, u2, pu2, tail = evaluate_solution(basis, new_center)
     if not tail <= TRUST_TAIL_LIMIT:  # also catches NaN
         raise ShiftFailureError(
             f"shift from {basis.center} to {new_center} leaves the trust region "

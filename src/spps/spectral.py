@@ -29,26 +29,27 @@ the next center.  The walk carries the main basis with its polynomial and
 that polynomial's roots, so each polynomial is assembled and solved once:
 a kept validation basis hands on the polynomial it was validated with and
 the roots its refinement read, and where the walk stays the main
-polynomial carries over unless a validation shift grew its basis.
+polynomial and its roots carry over.
 
 A basis raises its order only through ``SppsBasis.grow``, on the particular
-solution it was verified with.  A basis the walk continues from (a main
-basis, whose polynomial gives the next candidates, or a validation basis
-kept or shifted onward) is built at the order its predecessor's polynomial
-needs over twice the distance to the eigenvalue it accepted, plus a margin,
-so a shift onward never grows its source; the first, with no predecessor,
-at two terms plus the margin.  Where a main basis's last coefficient still
-counts at the nearest new candidate, it grows to twice its order (capped at
-full order) before that candidate is validated; when it stalls, to full
-order.  A validation basis the walk drops is built at the order the current
-polynomial needs near its center and one step beyond.  Either grows to
-full order when its polynomial's last coefficient still counts.
+solution it was verified with, and a main basis only in the sweep loop.  A
+basis the walk continues from (a main basis, whose polynomial gives the
+next candidates, or a validation basis kept or shifted onward) is built at
+the order its predecessor's polynomial needs over twice the distance to the
+eigenvalue it accepted, plus a margin; the first, with no predecessor, at
+two terms plus the margin.  Where a main basis's last coefficient still
+counts at the nearest new candidate or where its validation basis is built,
+the loop grows it to twice its order (capped at full order) before that
+candidate is validated; when it stalls, to full order.  A validation basis
+the walk drops is built at the order the current polynomial needs near its
+center and one step beyond.  Either grows to full order when its
+polynomial's last coefficient still counts.
 
 One power set is alive at a time: every shift and growth frees the rows
 it starts from before it builds.  A shift checks its recentred particular
 solution before it frees its source, so a failed check leaves the main
-basis's rows in place; a validation shift that needs more terms than the
-main basis has grows that basis.  A main basis is rebuilt on its particular
+basis's rows in place; a shift reads its source at the source's own order
+and leaves that order as it was.  A main basis is rebuilt on its particular
 solution, at its order, when it is read again: after a validation basis
 built from it is rejected, and once each time the walk stays on it.
 ``prepare`` has verified the start, so the first basis is an unchecked
@@ -348,10 +349,10 @@ def sweep_eigenvalues(problem, config=None, particular=None):
             if phi is None:
                 phi = assemble_characteristic(basis, bc_left, bc_right)
                 roots = roots_of(phi)
-            n_main = basis.n_terms
             outcome = _validate_nearest(basis, phi, roots, found, config, bc_left, bc_right)
-            if outcome is None:
-                phi = None  # the main basis grew: read its polynomial again
+            if isinstance(outcome, int):
+                basis.grow(outcome)
+                phi = None  # read the grown basis's polynomial again
                 continue
             cand, vbasis, vphi, next_center = outcome
             outcome = None  # vbasis alone holds the validation basis
@@ -373,12 +374,9 @@ def sweep_eigenvalues(problem, config=None, particular=None):
                 # built where the walk continues, within ~1e-12 of lam + delta:
                 # the next main basis, with its polynomial and roots
                 basis, phi, roots = vbasis, vphi, vroots
-            elif _is_duplicate(next_center, [basis.center]):
-                if basis.n_terms != n_main:
-                    phi = None  # a validation shift grew the main basis
-            else:
-                basis = shift_basis(vbasis, next_center)
-                phi = None
+            elif not _is_duplicate(next_center, [basis.center]):
+                basis, phi = shift_basis(vbasis, next_center), None
+            # else the walk stays: the main basis, its polynomial and roots carry over
     except SolverError as exc:
         exc.records = _sorted_by_real_part(records) if real else records
         raise
@@ -390,20 +388,19 @@ def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
 
     ``_next_center`` names where the walk goes after each candidate.  The
     validation basis is built there when that is candidate + delta and more
-    eigenvalues are wanted, else at the candidate, at the order of a basis
-    the walk continues from or drops (see the module docstring).  The
-    candidate passes when |Phi(cand)| / scale of the validation polynomial
-    is within ``accept_threshold``: |c0| / scale at delta = 0, read |delta|
-    from the center ahead.  A failed ahead validation is not retried at the
-    candidate.  Returns ``(candidate, validation basis, its polynomial,
-    next center)`` for the first candidate that passes, or None once a
-    main ``basis`` shorter than full order has grown and must be read
-    again: to twice its order (at least 1, at most full order) when its
-    last coefficient still counts at the candidate, to full order when it
+    eigenvalues are wanted, else at the candidate, at the order of a basis the
+    walk continues from or drops (see the module docstring).  The candidate
+    passes when |Phi(cand)| / scale of the validation polynomial is within
+    ``accept_threshold``: |c0| / scale at delta = 0, read |delta| from the
+    center ahead.  A failed ahead validation is not retried at the candidate.
+    Returns ``(candidate, validation basis, its polynomial, next center)`` for
+    the first candidate that passes, or, for a main ``basis`` shorter than full
+    order, the order the sweep grows it to and reads again: twice its order (at
+    least 1, at most full order) when its last coefficient still counts at the
+    candidate or where the validation basis is built, full order when it
     stalls.  A full-order basis that stalls raises ``SweepStalledError``.
     """
     n_full = config.n_terms
-    # phi's order: a validation shift may grow the basis past it
     n_main = basis.n_terms
     short = n_main < n_full
     order = np.argsort(np.abs(candidates - basis.center))
@@ -414,10 +411,6 @@ def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
         cand = complex(candidates[idx])
         if _is_duplicate(cand, found):
             continue
-        reach = abs(cand - basis.center)
-        if short and reach > 0 and _counting_terms(phi, reach)[n_main]:
-            basis.grow(min(n_full, max(1, 2 * n_main)))
-            return None
         # a basis the walk continues from is built as a main basis, one it
         # drops as a validation basis
         next_center = _next_center(config, [*found, cand], basis.center)
@@ -429,6 +422,9 @@ def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
             center, n_terms = cand, n_valid  # stay: dropped
         else:
             center, n_terms = cand, _main_order(phi, config, cand)  # shifted onward
+        reach = max(abs(cand - basis.center), abs(center - basis.center))
+        if short and reach > 0 and _counting_terms(phi, reach)[n_main]:
+            return min(n_full, max(1, 2 * n_main))
         try:
             vbasis = shift_basis(basis, center, n_terms=n_terms)
             vphi = assemble_characteristic(vbasis, bc_left, bc_right)
@@ -452,8 +448,7 @@ def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
         if failures >= 3:
             break
     if short:
-        basis.grow(n_full)
-        return None
+        return n_full
     if failures >= 3:
         last = "" if residual is None else f" (last residual {residual:.2e})"
         # a finer mesh mends most stalls; at delta != 0 so does a shorter step
@@ -499,8 +494,8 @@ def _validation_order(phi, config, reach=0.0):
     A validation basis is read within about 1e-12 of its center and at the
     next center, |delta| away.  Over R = max(1, |delta|, reach) the terms of
     ``phi`` beyond the last one above EXACT_TAIL of the largest add nothing;
-    two more terms are kept as a margin.  ``shift_basis`` and the sweep
-    evaluate at full order whenever this falls short.
+    two more terms are kept as a margin.  The sweep grows a validation
+    basis to full order whenever this falls short.
     """
     reach = max(1.0, abs(complex(config.delta)), reach)
     last = int(np.flatnonzero(_counting_terms(phi, reach))[-1])

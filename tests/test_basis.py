@@ -9,6 +9,7 @@ import pytest
 import spps.basis
 import spps.powers
 from spps.basis import (
+    EXACT_TAIL,
     ParticularSolution,
     SppsBasis,
     build_seed_solution,
@@ -400,7 +401,7 @@ def test_nan_tail_leaves_trust_region(unit_basis, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["trivial", "example4"])
-def test_shift_from_short_basis_equals_shift_from_full(bundled_problem, monkeypatch, name):
+def test_shift_from_short_basis_equals_shift_from_full(bundled_problem, name):
     from spps.spectral import assemble_characteristic, roots_of
 
     config, samples, bcl, bcr, start = prepare(bundled_problem(name))
@@ -410,23 +411,24 @@ def test_shift_from_short_basis_equals_shift_from_full(bundled_problem, monkeypa
     cand = complex(roots[np.argmin(np.abs(roots - basis.center))])
     short = shift_basis(basis, cand, n_terms=10)
     full = shift_basis(basis, cand)
-    assert (short.n_terms, full.n_terms) == (10, n_full)
+    assert (basis.n_terms, short.n_terms, full.n_terms) == (n_full, 10, n_full)
 
-    orders = _record_orders(monkeypatch)
     for step in (1e-12, 0.3, 3.0):
-        orders.clear()
         from_short = shift_basis(short, cand + step, n_terms=n_full)
-        # the short series could not reach: the source grows to full order and
-        # evaluates again (a build at 10 is the short rows read again after
-        # their release)
-        rebuilt = orders.count(n_full) == 2
-        assert short.n_terms == (n_full if rebuilt else 10)
         from_full = shift_basis(full, cand + step)
-        assert from_short.n_terms == n_full
-        assert np.array_equal(from_short.powers.tilde, from_full.powers.tilde)
-        assert np.array_equal(from_short.powers.plain, from_full.powers.plain)
-        assert np.array_equal(from_short.particular.f.values, from_full.particular.f.values)
-        assert rebuilt == (name == "trivial" and step == 3.0)
+        # a shift reads its source at the source's own order and keeps it
+        assert (short.n_terms, full.n_terms, from_short.n_terms) == (10, n_full, n_full)
+        f_short, f_full = from_short.particular.f.values, from_full.particular.f.values
+        # past an ulp of the sum a longer series adds nothing
+        exact = from_short.shift_tail <= EXACT_TAIL
+        assert exact == (name == "example4" or step != 3.0)
+        if exact:
+            assert np.array_equal(from_short.powers.tilde, from_full.powers.tilde)
+            assert np.array_equal(from_short.powers.plain, from_full.powers.plain)
+            assert np.array_equal(f_short, f_full)
+        else:
+            assert from_short.shift_tail <= 1e-13
+            assert np.abs(f_short - f_full).max() <= 1e-15 * np.abs(f_full).max()
 
 
 def test_grow_builds_the_longer_rows_alone_and_unverified(monkeypatch):

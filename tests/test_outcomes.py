@@ -1,7 +1,9 @@
 """The per-case outcome tool under tools/."""
 
+import dataclasses
 import os
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,35 @@ def test_compare_names_each_differing_case(monkeypatch, tmp_path, capsys):
     ]
 
 
+def test_a_stall_whose_records_fail_the_gate_reads_wrong(monkeypatch):
+    # wrong wins over stall: the records a stall carries face the case's gate
+    outcomes = _tool(monkeypatch)
+    import workloads
+    from spps import errors, problems, spectral
+
+    case = workloads.scan_cases(1)[0]
+    records = spectral.sweep_eigenvalues(problems.parse_problem(case.text))
+    assert case.check([rec.lam for rec in records]) is None
+    moved = [dataclasses.replace(records[0], lam=records[0].lam + 1.0)]
+
+    def stalling(carried):
+        def sweep_eigenvalues(problem, config, particular):
+            exc = errors.SweepStalledError("no further candidate")
+            exc.records = carried
+            raise exc
+
+        return types.SimpleNamespace(sweep_eigenvalues=sweep_eigenvalues)
+
+    statuses = {}
+    for name, carried in (("passing", records[:2]), ("rejected", moved), ("none", [])):
+        ((_, _, status, digest),) = outcomes.outcomes(
+            "seed=1", [case], errors, problems, stalling(carried)
+        )
+        statuses[name] = status
+        assert digest == outcomes.digest(carried)
+    assert statuses == {"passing": "stall", "rejected": "wrong", "none": "stall"}
+
+
 def _seed_1_statuses(outcomes, baseline, cases, **overrides):
     """Seed 1's statuses as swept here and as ``baseline`` records them."""
     from spps import errors, problems, spectral
@@ -75,19 +106,23 @@ def test_seed_1_statuses_match_the_baseline(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "baseline, policy, complex_q, stalls",
+    "baseline, overrides, complex_q, stalls",
     [
-        ("outcomes_baseline_fixed_center.txt", "fixed_center", False, 22),
-        ("outcomes_baseline_complex_upper.txt", "previous_if_upper_half", True, 0),
+        ("outcomes_baseline_fixed_center.txt", {"policy": "fixed_center"}, False, 22),
+        ("outcomes_baseline_complex_upper.txt", {"policy": "previous_if_upper_half"}, True, 0),
+        ("outcomes_baseline_delta20.txt", {"delta": "20"}, False, 4),
     ],
-    ids=["fixed_center", "complex-previous_if_upper_half"],
+    ids=["fixed_center", "complex-previous_if_upper_half", "delta20"],
 )
-def test_seed_1_statuses_match_each_policy_baseline(monkeypatch, baseline, policy, complex_q, stalls):
+def test_seed_1_statuses_match_each_policy_baseline(monkeypatch, baseline, overrides, complex_q, stalls):
     outcomes = _tool(monkeypatch)
     import workloads
+    from spps import problems
 
+    if "delta" in overrides:  # parsed as ``run --delta`` parses it
+        overrides = dict(overrides, delta=problems.parse_complex(overrides["delta"]))
     cases = outcomes.complex_cases(1) if complex_q else workloads.scan_cases(1)
-    got, recorded = _seed_1_statuses(outcomes, BASELINE.parent / baseline, cases, policy=policy)
+    got, recorded = _seed_1_statuses(outcomes, BASELINE.parent / baseline, cases, **overrides)
     assert got == recorded
     assert list(got.values()).count("stall") == stalls
     assert "wrong" not in got.values()

@@ -9,7 +9,7 @@ from spps import basis as basis_module
 from spps import cli as cli_module
 from spps import problems as problems_module
 from spps import spectral as spectral_module
-from spps.basis import ParticularSolution, SppsBasis, evaluate_solution, shift_basis
+from spps.basis import EXACT_TAIL, ParticularSolution, SppsBasis, evaluate_solution, shift_basis
 from spps.mesh import SampledFunction, constant_function
 from spps.errors import (
     ConfigurationError,
@@ -616,9 +616,9 @@ def test_each_polynomial_is_assembled_and_solved_once(bundled_problem, monkeypat
     assert solved >= 1 + len(records)
 
 
-def test_fixed_center_reads_a_main_basis_grown_by_validation_again(monkeypatch):
-    # scan_small seed 2 scan12 under fixed_center: a validation shift grows
-    # the main basis, so its polynomial is assembled again at the new order
+def test_fixed_center_validation_leaves_the_main_basis_order(monkeypatch):
+    # scan_small seed 2 scan12 under fixed_center: the main basis grows, but
+    # only in the sweep loop; a validation shift reads it at its own order
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     import workloads
@@ -627,7 +627,7 @@ def test_fixed_center_reads_a_main_basis_grown_by_validation_again(monkeypatch):
     assert case.label == "scan12"
     problem = with_overrides(parse_problem(case.text), policy="fixed_center")
     assemble, shift = spectral_module.assemble_characteristic, spectral_module.shift_basis
-    main_orders, grown = [], []
+    main_orders, source_orders = [], []
 
     def recording_assemble(basis, bc_left, bc_right):
         if sys._getframe(1).f_code.co_name == "sweep_eigenvalues":
@@ -639,16 +639,48 @@ def test_fixed_center_reads_a_main_basis_grown_by_validation_again(monkeypatch):
         try:
             return shift(basis, *args, **kwargs)
         finally:
-            if basis.n_terms != before:
-                grown.append(basis.n_terms)
+            source_orders.append((before, basis.n_terms))
 
     monkeypatch.setattr(spectral_module, "assemble_characteristic", recording_assemble)
     monkeypatch.setattr(spectral_module, "shift_basis", recording_shift)
     with pytest.raises(SweepStalledError) as info:
         sweep_eigenvalues(problem)
-    assert len(info.value.records) == 5
-    assert grown and set(grown) <= set(main_orders)
-    assert len(main_orders) == len(set(main_orders))
+    assert source_orders and all(before == after for before, after in source_orders)
+    # reference records, from a walk whose validation shifts still grew the main basis
+    expected = [-0.8448383220219858, 6.639340623396209, 15.874219735332735,
+                28.90931033141748, 46.25125953562216]
+    got = [rec.lam for rec in info.value.records]
+    assert len(got) == len(expected)
+    for lam, ref in zip(got, expected):
+        assert abs(lam - ref) <= 1e-12 * abs(ref)
+    # the main basis grows in the loop, and each order is assembled once
+    assert len(main_orders) > 1 and len(main_orders) == len(set(main_orders))
+
+
+def test_ahead_validation_reads_its_main_basis_within_reach(monkeypatch):
+    # scan_small seed 1 scan22 at delta = 5: the first candidate, about 1.21,
+    # is validated 6.21 from the main basis's center.  The main basis doubles
+    # until its last coefficient no longer counts there too, so every shift
+    # reads a tail below EXACT_TAIL (read at 12 terms, that tail is 5.7e-11
+    # and moves the first eigenvalue by 3.4e-11)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    case = workloads.scan_cases(1)[22]
+    assert case.label == "scan22"
+    shift, tails = spectral_module.shift_basis, []
+
+    def recording_shift(basis, *args, **kwargs):
+        shifted = shift(basis, *args, **kwargs)
+        tails.append(shifted.shift_tail)
+        return shifted
+
+    monkeypatch.setattr(spectral_module, "shift_basis", recording_shift)
+    records = sweep_eigenvalues(with_overrides(parse_problem(case.text), delta=5.0))
+    assert len(records) == 6 and max(tails) <= EXACT_TAIL
+    assert abs(records[0].lam - 1.2109055908468456) <= 1e-12 * 1.2109055908468456
+    assert case.check([rec.lam for rec in records]) is None
 
 
 def test_lower_half_walk_stays_on_its_main_basis(monkeypatch):

@@ -178,3 +178,22 @@ def test_only_next_center_reads_the_policy():
         if isinstance(node, ast.Attribute) and node.attr == "policy"
     ]
     assert readers and set(readers) == {"_next_center"}
+
+
+def _grow_calls(tree):
+    """``(enclosing function, receiver)`` of every ``receiver.grow(...)`` call."""
+    owner = _enclosing_functions(tree)
+    return [
+        (owner.get(id(node)), ast.unparse(node.func.value)) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "grow"
+    ]
+
+
+def test_only_the_sweep_loop_grows_the_main_basis():
+    """``shift_basis`` grows nothing: it reads its source at the source's own
+    order.  Inside ``spectral``, only ``sweep_eigenvalues`` grows ``basis``."""
+    trees = _module_trees()
+    assert [call for call in _grow_calls(trees["basis"]) if call[0] == "shift_basis"] == []
+    growers = [owner for owner, receiver in _grow_calls(trees["spectral"]) if receiver == "basis"]
+    assert growers == ["sweep_eigenvalues"]

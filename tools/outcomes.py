@@ -25,9 +25,10 @@ case,
 with group ``seed=N`` or ``fixture`` and status
 
 * ``ok``: every eigenvalue asked for, all passing the case's gate;
-* ``stall``: the sweep raised a ``SolverError``;
+* ``stall``: the sweep raised a ``SolverError`` whose records all pass the gate;
 * ``wrong``: the gate (``Case.check``, which perfbench's judge applies)
-  rejects a returned eigenvalue.
+  rejects an eigenvalue the sweep returned or a stall carried (wrong wins
+  over stall).
 
 The digest is a SHA-256 prefix over the ``float.hex`` of every field of
 every record; a stall's digest covers the records its ``SolverError``
@@ -122,10 +123,12 @@ def outcomes(group, cases, errors, problems, spectral, **overrides):
         config, _, _, _, start = problems.prepare(problem)
         try:
             records = spectral.sweep_eigenvalues(problem, config, particular=start)
+            status = "ok"
         except errors.SolverError as exc:
-            yield group, case.label, "stall", digest(exc.records)
-            continue
-        status = "wrong" if case.check([rec.lam for rec in records]) is not None else "ok"
+            records, status = exc.records, "stall"
+        # wrong wins over stall: the records a stall carries face the gate too
+        if records and case.check([rec.lam for rec in records]) is not None:
+            status = "wrong"
         yield group, case.label, status, digest(records)
 
 
