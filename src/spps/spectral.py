@@ -31,12 +31,22 @@ a kept validation basis hands on the polynomial it was validated with and
 the roots its refinement read, and where the walk stays the main
 polynomial and its roots carry over.
 
+On real data at delta = 0 one validation basis can accept two
+eigenvalues.  When the main polynomial reads its nearest new candidate c1
+and c2, the new candidate nearest c1, within reach, and the walk goes to
+c2 itself, the basis is built at c2: it validates c2 at its own center and
+c1 read |c2 - c1| away, within reach, as a second expansion for c1 (the
+recentring of Kravchenko & Porter, 2010).  Both are accepted, c1 first,
+and the walk continues from c2; a pair that does not pass is dropped and
+c1 is validated alone.  Both records carry the main basis's center.
+
 A basis raises its order only through ``SppsBasis.grow``, on the particular
 solution it was verified with, and a main basis only in the sweep loop.  A
 basis the walk continues from (a main basis, whose polynomial gives the
 next candidates, or a validation basis kept or shifted onward) is built at
 the order its predecessor's polynomial needs over twice the distance to the
-eigenvalue it accepted, plus a margin; the first, with no predecessor, at
+eigenvalue it accepted, plus a margin (for a pair's basis, over |c2 - c0| +
+|c2 - c1|, c0 the main basis's center); the first, with no predecessor, at
 two terms plus the margin.  Where a main basis's last coefficient still
 counts at the nearest new candidate or where its validation basis is built,
 the loop grows it to twice its order (capped at full order) before that
@@ -341,6 +351,7 @@ def sweep_eigenvalues(problem, config=None, particular=None):
     config, samples, bc_left, bc_right, start = prepare(problem, config, particular)
     basis = SppsBasis(start, samples, _main_order(None, config, None))
     real = _is_real_problem(samples, bc_left, bc_right, config.delta)
+    pairs = real and config.delta == 0  # one basis may validate two eigenvalues
     records, found = [], []
     phi = None  # the main basis's polynomial, with its roots; None: not yet read
     try:
@@ -349,25 +360,31 @@ def sweep_eigenvalues(problem, config=None, particular=None):
             if phi is None:
                 phi = assemble_characteristic(basis, bc_left, bc_right)
                 roots = roots_of(phi)
-            outcome = _validate_nearest(basis, phi, roots, found, config, bc_left, bc_right)
+            outcome = _validate_nearest(basis, phi, roots, found, config, bc_left, bc_right, pairs)
             if isinstance(outcome, int):
                 basis.grow(outcome)
                 phi = None  # read the grown basis's polynomial again
                 continue
-            cand, vbasis, vphi, next_center = outcome
+            cands, vbasis, vphi, next_center = outcome
             outcome = None  # vbasis alone holds the validation basis
             vroots = roots_of(vphi)
-            lam, reported = _refine_in_frame(vroots, cand, real)
-            records.append(
-                EigenvalueRecord(
-                    index=len(records),
-                    lam=reported,
-                    center_used=basis.center,
-                    validation_residual=abs(vphi.evaluate(lam)) / vphi.scale,
-                    tail_indicator=vbasis.shift_tail,
+            for i, cand in enumerate(cands):
+                # a pair's first candidate is refined in the frame centred
+                # nearer it; a candidate alone in the validation frame
+                nearer_main = i + 1 < len(cands) and (
+                    abs(cand - basis.center) < abs(cand - vbasis.center)
                 )
-            )
-            found.append(lam)
+                lam, reported = _refine_in_frame(roots if nearer_main else vroots, cand, real)
+                records.append(
+                    EigenvalueRecord(
+                        index=len(records),
+                        lam=reported,
+                        center_used=basis.center,
+                        validation_residual=abs(vphi.evaluate(lam)) / vphi.scale,
+                        tail_indicator=vbasis.shift_tail,
+                    )
+                )
+                found.append(lam)
             if len(records) >= config.max_eigenvalues:
                 break
             if vbasis.center == next_center:
@@ -383,7 +400,7 @@ def sweep_eigenvalues(problem, config=None, particular=None):
     return _sorted_by_real_part(records) if real else records
 
 
-def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
+def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right, pairs):
     """Validate the new ``candidates`` (the roots of ``phi``) nearest its center first.
 
     ``_next_center`` names where the walk goes after each candidate.  The
@@ -393,10 +410,17 @@ def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
     passes when |Phi(cand)| / scale of the validation polynomial is within
     ``accept_threshold``: |c0| / scale at delta = 0, read |delta| from the
     center ahead.  A failed ahead validation is not retried at the candidate.
-    Returns ``(candidate, validation basis, its polynomial, next center)`` for
-    the first candidate that passes, or, for a main ``basis`` shorter than full
-    order, the order the sweep grows it to and reads again: twice its order (at
-    least 1, at most full order) when its last coefficient still counts at the
+
+    With ``pairs`` (real data at delta = 0) the nearest new candidate c1 is
+    first offered to ``_validate_pair`` with its ``_partner`` c2.  A pair
+    that does not pass is dropped, with no failure counted, and c1 is
+    validated alone.
+
+    Returns ``(candidates, validation basis, its polynomial, next center)``:
+    ``(c1, c2)`` for a pair, else the first candidate that passes, alone.
+    For a main ``basis`` shorter than full order it may instead return the
+    order the sweep grows it to and reads again: twice its order (at least
+    1, at most full order) when its last coefficient still counts at the
     candidate or where the validation basis is built, full order when it
     stalls.  A full-order basis that stalls raises ``SweepStalledError``.
     """
@@ -405,7 +429,7 @@ def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
     short = n_main < n_full
     order = np.argsort(np.abs(candidates - basis.center))
     n_valid = _validation_order(phi, config)
-    failures = 0
+    failed = []  # how far each failed validation basis lies from the center
     residual = None
     for idx in order:
         cand = complex(candidates[idx])
@@ -425,42 +449,115 @@ def _validate_nearest(basis, phi, candidates, found, config, bc_left, bc_right):
         reach = max(abs(cand - basis.center), abs(center - basis.center))
         if short and reach > 0 and _counting_terms(phi, reach)[n_main]:
             return min(n_full, max(1, 2 * n_main))
+        pair = pairs and not failed and _partner(basis, phi, candidates, [*found, cand], config)
+        if pair:
+            c2, n_pair, after = pair
+            validated = _validate_pair(basis, cand, c2, n_pair, config, bc_left, bc_right)
+            if validated is not None:
+                return (cand, c2), *validated, after
         try:
-            vbasis = shift_basis(basis, center, n_terms=n_terms)
-            vphi = assemble_characteristic(vbasis, bc_left, bc_right)
-            if vbasis.n_terms < n_full and _counting_terms(vphi, 1.0)[vbasis.n_terms]:
-                # the short series is not complete: its last coefficient
-                # still counts, so the polynomial needs the full order
-                vbasis.grow(n_full)
-                vphi = assemble_characteristic(vbasis, bc_left, bc_right)
-            # |c0| when the basis is centred at cand; an overflowed polynomial
-            # fails: its infinite scale would read as residual 0
-            residual = (
-                abs(vphi.evaluate(cand)) / vphi.scale if math.isfinite(vphi.scale) else math.inf
-            )
+            vbasis, vphi = _validation_basis(basis, center, n_terms, config, bc_left, bc_right)
+            residual = _residual(vphi, cand)
         except SolverError:
             pass
         else:
             if residual <= config.accept_threshold:
-                return cand, vbasis, vphi, next_center
+                return (cand,), vbasis, vphi, next_center
         vbasis = vphi = None  # free the failed validation basis before the next
-        failures += 1
-        if failures >= 3:
+        failed.append(abs(center - basis.center))
+        if len(failed) >= 3:
             break
     if short:
         return n_full
-    if failures >= 3:
+    if len(failed) >= 3:
         last = "" if residual is None else f" (last residual {residual:.2e})"
-        # a finer mesh mends most stalls; at delta != 0 so does a shorter step
-        smaller_delta = ", or a smaller delta" if config.delta else ""
+        if _next_center(config, [cand], basis.center) == basis.center:
+            # the center stays fixed (no other policy stays after a first
+            # eigenvalue): a finer mesh does not shorten the shifts from it
+            advice = (
+                f"the center stays fixed, so these validations shifted the series "
+                f"{min(failed):.3g} to {max(failed):.3g} from it; try a walking "
+                f"policy (always_previous or previous_if_upper_half)"
+            )
+        else:
+            # a finer mesh mends most stalls; at delta != 0 so does a shorter step
+            smaller_delta = ", or a smaller delta" if config.delta else ""
+            advice = f"try a finer mesh first, then more series terms{smaller_delta}"
         raise SweepStalledError(
             f"three consecutive candidates failed validation near center "
-            f"{basis.center}{last}; try a finer mesh first, then more series "
-            f"terms{smaller_delta}"
+            f"{basis.center}{last}; {advice}"
         )
     raise SweepStalledError(
         f"no further candidate root could be validated from center {basis.center}"
     )
+
+
+def _partner(basis, phi, candidates, found, config):
+    """The candidate validated with c1 = ``found[-1]`` from one basis, or None.
+
+    That is c2, the new candidate nearest c1 (not the second nearest to the
+    center, which can lie across it), when there is room for both, the walk
+    goes to c2 itself (the next center is c2, or c2 is the last eigenvalue
+    asked for) and ``phi``'s last coefficient does not count at c2.  Returns
+    c2, the order of the basis built there and the center after it.  A
+    basis the walk continues from is built at ``_main_order`` for a pair;
+    one built for the last two eigenvalues, which the walk drops, reads
+    ``phi`` over |c2 - c0| + |c2 - c1| (c0 its center) with no margin.
+    """
+    room = config.max_eigenvalues - len(found)
+    rest = [complex(c) for c in candidates if not _is_duplicate(complex(c), found)]
+    if room < 1 or not rest:
+        return None
+    c2 = min(rest, key=lambda c: abs(c - found[-1]))
+    after = _next_center(config, [*found, c2], basis.center)
+    if (after != c2 and room > 1) or _counting_terms(phi, abs(c2 - basis.center))[basis.n_terms]:
+        return None
+    if room > 1:
+        return c2, _main_order(phi, config, c2, found[-1]), after
+    reach = abs(c2 - basis.center) + abs(c2 - found[-1])
+    return c2, _validation_order(phi, config, reach), after
+
+
+def _validation_basis(basis, center, n_terms, config, bc_left, bc_right):
+    """``basis`` shifted to ``center`` at ``n_terms``, with its polynomial.
+
+    A short series whose last coefficient still counts (read at reach 1) is
+    not complete: it grows to full order and its polynomial is read again.
+    """
+    vbasis = shift_basis(basis, center, n_terms=n_terms)
+    vphi = assemble_characteristic(vbasis, bc_left, bc_right)
+    if vbasis.n_terms < config.n_terms and _counting_terms(vphi, 1.0)[vbasis.n_terms]:
+        vbasis.grow(config.n_terms)
+        vphi = assemble_characteristic(vbasis, bc_left, bc_right)
+    return vbasis, vphi
+
+
+def _residual(vphi, cand):
+    """|vphi(cand)| / scale, infinite for an overflowed polynomial, whose
+    infinite scale would read as residual 0."""
+    return abs(vphi.evaluate(cand)) / vphi.scale if math.isfinite(vphi.scale) else math.inf
+
+
+def _validate_pair(basis, c1, c2, n_terms, config, bc_left, bc_right):
+    """One validation basis, built at c2 at ``n_terms``, for both c1 and c2.
+
+    c2 passes at the center, as a candidate alone does.  c1 passes when the
+    validation polynomial's last coefficient does not count at |c2 - c1|
+    and |vphi(c1)| / scale is within ``accept_threshold``: the expansion
+    recentred at c2 is a second expansion for c1.  Returns the basis and its
+    polynomial when both pass, else None (a failed shift included).
+    """
+    try:
+        vbasis, vphi = _validation_basis(basis, c2, n_terms, config, bc_left, bc_right)
+    except SolverError:
+        return None
+    if (
+        _residual(vphi, c2) <= config.accept_threshold
+        and not _counting_terms(vphi, abs(c2 - c1))[vbasis.n_terms]
+        and _residual(vphi, c1) <= config.accept_threshold
+    ):
+        return vbasis, vphi
+    return None
 
 
 def _sorted_by_real_part(records):
@@ -502,19 +599,21 @@ def _validation_order(phi, config, reach=0.0):
     return min(config.n_terms, last + 2)
 
 
-def _main_order(phi, config, lam):
+def _main_order(phi, config, lam, first=None):
     """Order of the next main basis after ``phi`` accepted ``lam``.
 
     The next candidates are expected about as far from the next center as
-    ``lam`` was from ``phi``'s, so ``phi`` is read over twice that distance,
-    with _MAIN_MARGIN more terms.  The first main basis has nothing read
-    before it (``phi`` is None): it gets two terms plus the margin, as if
-    only a constant term counted.  The sweep doubles the order of a main
+    ``lam`` was from ``phi``'s center c0, so ``phi`` is read over twice that
+    distance, with _MAIN_MARGIN more terms.  A basis built at the second
+    member of a pair also reads the ``first`` at |lam - first|: ``phi`` is
+    read over |lam - c0| + |lam - first|.  The first main basis has nothing
+    read before it (``phi`` is None): it gets two terms plus the margin, as
+    if only a constant term counted.  The sweep doubles the order of a main
     basis whose last coefficient counts at a candidate.
     """
     if phi is None:
         return min(config.n_terms, 2 + _MAIN_MARGIN)
-    reach = 2.0 * abs(lam - phi.center)
+    reach = abs(lam - phi.center) + abs(lam - (phi.center if first is None else first))
     return min(config.n_terms, _validation_order(phi, config, reach) + _MAIN_MARGIN)
 
 
@@ -540,6 +639,9 @@ def _refine_in_frame(vroots, cand, real):
     |delta| from it when the basis was built ahead at cand + delta; the
     root in ``vroots`` nearest ``cand`` is a better estimate as long as the
     correction is tiny.  At delta = 0 that is the root nearest the center.
+    The first of a pair is refined in the frame centred nearer it: the
+    sweep passes the main polynomial's roots, of which it is one, when the
+    main center is nearer than the validation center.
     Returns the refined lambda and the value to report: its real part when
     the problem is ``real``, |Im lambda| <= DEDUPE_FACTOR * (1 + |lambda|),
     and no other root lies within 2|Im lambda| (roundoff, not a conjugate

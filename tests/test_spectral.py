@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from spps.problems import (
     BoundaryCondition,
     SolverConfig,
     fixture_path,
+    load_reference,
+    match_reference,
     parse_problem,
     prepare,
     with_overrides,
@@ -440,11 +443,18 @@ def test_sweep_under_each_policy(bundled_problem, policy, delta):
         # the spectrum is real, so previous_if_upper_half stays on the last one
         if policy == "fixed_center":
             assert centers[k] == 0
+        elif centers[k] == centers[k - 1]:
+            # at delta = 0 one validation basis, built at the second of a
+            # pair, accepts both: each carries the center that found it
+            assert delta == 0 and (k == 1 or centers[k - 1] != centers[k - 2])
         else:
             # the validation basis, centred at candidate + delta for the
             # candidate that refined into the last eigenvalue, is the next
             # main basis
             assert abs(centers[k] - (found[k - 1] + delta)) <= 1e-12 * abs(found[k - 1])
+    if policy != "fixed_center":
+        # a walking policy pairs the first two at delta = 0, and only there
+        assert (centers[1] == centers[0]) == (delta == 0)
 
 
 def test_real_eigenvalues_of_a_real_problem_are_reported_real(bundled_problem):
@@ -463,7 +473,8 @@ def test_real_eigenvalues_of_a_real_problem_are_reported_real(bundled_problem):
 
 def test_delta_zero_walk_shifts_once_per_eigenvalue(bundled_problem, monkeypatch):
     # each validation basis is the next main basis: no re-expansion about
-    # 1e-12 away from it
+    # 1e-12 away from it.  A basis built at the second of a pair accepts
+    # both, so the walk takes fewer shifts than eigenvalues
     problem = with_overrides(bundled_problem("trivial"), max_eigenvalues=6)
     shifts = []
     shift = spectral_module.shift_basis
@@ -475,7 +486,10 @@ def test_delta_zero_walk_shifts_once_per_eigenvalue(bundled_problem, monkeypatch
     monkeypatch.setattr(spectral_module, "shift_basis", recording)
     records = sweep_eigenvalues(problem)
     assert len(records) == 6
-    assert len(shifts) == len(records)
+    assert len(shifts) < len(records)
+    # a pair's second member carries the center of its first
+    paired = sum(a.center_used == b.center_used for a, b in zip(records, records[1:]))
+    assert len(shifts) == len(records) - paired
     assert min(shifts) > 1.0
 
 
@@ -504,6 +518,89 @@ def test_complex_walk_continues_from_its_validation_bases(bundled_problem, monke
     for prev, rec in zip(records, records[1:]):
         assert abs(rec.center_used - (prev.lam + config.delta)) <= 1e-12 * (1.0 + abs(prev.lam))
     assert all(rec.validation_residual <= config.accept_threshold for rec in records)
+
+
+def test_example1_validates_two_eigenvalues_per_build(bundled_problem, monkeypatch):
+    # at delta = 0 a validation basis built at the second of a pair reads
+    # the first from there: 8 power-set builds for 11 eigenvalues, where one
+    # validation basis per eigenvalue took 13
+    orders = []
+    powers = basis_module.compute_formal_powers
+
+    def counting(f, p, r, n_terms):
+        orders.append(n_terms)
+        return powers(f, p, r, n_terms)
+
+    monkeypatch.setattr(basis_module, "compute_formal_powers", counting)
+    records = sweep_eigenvalues(bundled_problem("example1"))
+    assert len(records) == 11
+    assert len(orders) <= 9
+    rows = load_reference(fixture_path("table1.ref"))
+    assert all(passed for *_, passed in match_reference([rec.lam for rec in records], rows))
+
+
+def test_pair_partner_is_the_candidate_nearest_the_first(monkeypatch):
+    # seed 6 scan07: pairing the nearest candidate with the second nearest to
+    # the center can jump across the center, and it stalled this walk; the
+    # candidate nearest the first keeps the order of a walk that validates
+    # each eigenvalue alone, and its six eigenvalues
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    case = workloads.scan_cases(6)[7]
+    assert case.label == "scan07"
+    records = sweep_eigenvalues(parse_problem(case.text))
+    # the records of the walk that validates each eigenvalue alone; they
+    # are up to 1.1e-12 relative from the closed form's roots
+    expected = [-1.4961401965529482, 2.8160404989325776, 9.06430971412579,
+                20.280866007378865, 32.624952373122824, 47.74207254067405]
+    assert len(records) == len(expected)
+    for rec, ref in zip(records, expected):
+        assert abs(rec.lam - ref) <= 1e-11 * max(1.0, abs(ref))
+    assert case.check([rec.lam for rec in records]) is None
+    # pairs were taken: both members carry the center that found them
+    centers = [rec.center_used for rec in records]
+    assert len(set(centers)) < len(centers)
+
+
+# example4's records, float.hex of (Re lam, Im lam, Re center, Im center,
+# validation residual, shift tail), from the walk that validates each
+# eigenvalue alone
+EXAMPLE4_ALONE = [
+    ("0x1.1e5ded4a3786ep+4", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+     "0x1.1c1f857d643eap-51", "0x1.9550ba44e7211p-152"),
+    ("0x1.88a41f3e70af2p+6", "0x0.0p+0", "0x1.1e5ded4a37879p+4", "-0x1.0000000000000p-303",
+     "0x1.0e1a49f6a09acp-49", "0x1.c53f564ae53aap-67"),
+    ("0x1.004565822015ep+8", "0x0.0p+0", "0x1.88a41f3e70ac3p+6", "-0x1.d8722ece3e61bp-41",
+     "0x1.5d9d32fa6ac0cp-46", "0x1.1fec18aa6f80fp-82"),
+    ("0x1.ed3389aea9c05p+8", "0x0.0p+0", "0x1.004565822017ep+8", "-0x1.f1c8b6b524d70p-40",
+     "0x1.252ac58d93882p-51", "0x1.ab8ec7f3f9c06p-91"),
+    ("0x1.9486ea0655850p+9", "0x0.0p+0", "0x1.ed3389aea9bfep+8", "-0x1.a1b43aafda492p-38",
+     "0x1.0b7f8622e6ec6p-46", "0x1.49fb8aaae4692p-96"),
+    ("0x1.2cf67a3270282p+10", "0x0.0p+0", "0x1.9486ea06558bfp+9", "0x1.5babca476a46ep-36",
+     "0x1.e5292b23c2ea7p-45", "0x1.e4fc10766ba45p-98"),
+]
+
+
+def test_pair_out_of_reach_falls_back_to_validation_alone(bundled_problem, monkeypatch):
+    # with every pair's far read forced out of reach, each pair is dropped
+    # after its build and its first candidate validated alone, from the
+    # rebuilt main basis: the walk that validates each eigenvalue alone, bit
+    # for bit
+    counting, forced = spectral_module._counting_terms, []
+
+    def out_of_reach(phi, reach):
+        mask = counting(phi, reach)
+        if sys._getframe(1).f_code.co_name == "_validate_pair":
+            forced.append(reach)
+            mask = np.ones_like(mask)
+        return mask
+
+    monkeypatch.setattr(spectral_module, "_counting_terms", out_of_reach)
+    records = sweep_eigenvalues(bundled_problem("example4"))
+    assert forced
+    assert _record_hexes(records) == EXAMPLE4_ALONE
 
 
 def test_three_piece_walk_reaches_six_eigenvalues():
@@ -612,8 +709,9 @@ def test_each_polynomial_is_assembled_and_solved_once(bundled_problem, monkeypat
         problem = with_overrides(problem, policy=policy)
     records, solved = _sweep_counting_reads(problem, monkeypatch)
     assert len(records) == problem.solver.max_eigenvalues
-    # the start basis's polynomials as it grows, then one per validation basis
-    assert solved >= 1 + len(records)
+    # the start basis's polynomials as it grows, then one per validation
+    # basis, which accepts one eigenvalue or, at delta = 0, a pair
+    assert solved >= 1 + (len(records) + 1) // 2
 
 
 def test_fixed_center_validation_leaves_the_main_basis_order(monkeypatch):
@@ -790,13 +888,37 @@ def test_stall_message_advises_a_finer_mesh_first(bundled_problem):
     )
 
 
+def test_fixed_center_stall_names_the_long_shift(monkeypatch):
+    # seed 1 scan00 under fixed_center: the shifts from the fixed center to
+    # the next candidates fail, and a finer mesh or more terms do not help
+    # (10 of seed 1's 30 cases stall either way); a walking policy does
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    case = workloads.scan_cases(1)[0]
+    assert case.label == "scan00"
+    problem = with_overrides(parse_problem(case.text), policy="fixed_center")
+    with pytest.raises(SweepStalledError, match="three consecutive") as info:
+        sweep_eigenvalues(problem)
+    message = str(info.value)
+    assert "finer mesh" not in message
+    shifts = re.search(r"series ([\d.]+) to ([\d.]+) from it; try a walking policy", message)
+    assert shifts and 1.0 < float(shifts[1]) <= float(shifts[2])
+    assert len(info.value.records) == 5
+    assert case.check([rec.lam for rec in info.value.records]) is None
+    # the same case walks to its six eigenvalues
+    records = sweep_eigenvalues(with_overrides(problem, policy="always_previous"))
+    assert len(records) == 6 and case.check([rec.lam for rec in records]) is None
+
+
 def test_overflowed_validation_polynomial_fails_validation(bundled_problem, monkeypatch):
     # an infinite coefficient gives an infinite scale, so |c0| / scale would read 0
     assemble = spectral_module.assemble_characteristic
 
     def overflowing(basis, bc_left, bc_right):
         phi = assemble(basis, bc_left, bc_right)
-        if sys._getframe(1).f_code.co_name != "_validate_nearest":
+        if sys._getframe(1).f_code.co_name != "_validation_basis":
             return phi
         coeffs = phi.coeffs.copy()
         coeffs[-1] = np.inf
@@ -835,9 +957,9 @@ def test_sweep_builds_verifies_and_evaluates_each_basis_once(bundled_problem, mo
     assert sum(how == "new" for _, _, how in power_builds[1:]) == calls["shift_basis"]
     assert calls["evaluate_solution"] == calls["shift_basis"]
     # the start basis grows twice (6, 12 and 24 terms), then one validation
-    # shift per eigenvalue: at delta = 0 it is the next main basis, with no
-    # re-expansion at the refined value
-    assert calls["shift_basis"] == len(records)
+    # shift for both eigenvalues: at delta = 0 it is built at the second,
+    # reads the first from there, and is not re-expanded at a refined value
+    assert calls["shift_basis"] == len(records) - 1 == 1
     assert [(n, how) for n, _, how in power_builds[:3]] == [(6, "new"), (12, "grow"), (24, "grow")]
     assert [how for _, _, how in power_builds[3:]] == ["new"] * calls["shift_basis"]
     # each particular solution is verified once: the start's (in prepare),
@@ -1014,7 +1136,8 @@ def test_failed_validation_rebuilds_the_main_basis_alone(monkeypatch):
     def failing_fourth(basis, bc_left, bc_right):
         phi = assemble(basis, bc_left, bc_right)
         # a validation basis may be read twice (after growing): count centers
-        if sys._getframe(1).f_code.co_name == "_validate_nearest" and basis.center not in validations:
+        validating = sys._getframe(1).f_code.co_name == "_validation_basis"
+        if validating and basis.center not in validations:
             validations.append(basis.center)
             if len(validations) == 4:
                 return CharacteristicPolynomial(np.r_[phi.scale, phi.coeffs[1:]], phi.center)
@@ -1177,10 +1300,15 @@ def _assert_same_records(records, reference):
         assert abs(rec.center_used.imag - ref.center_used.imag) <= 1e-20
 
 
-def _assert_close_records(records, reference):
+def _assert_close_eigenvalues(records, reference):
     assert len(records) == len(reference)
     for rec, ref in zip(records, reference):
         assert abs(rec.lam - ref.lam) <= 1e-12 * abs(ref.lam)
+
+
+def _assert_close_records(records, reference):
+    _assert_close_eigenvalues(records, reference)
+    for rec, ref in zip(records, reference):
         assert abs(rec.center_used - ref.center_used) <= 1e-12 * max(1.0, abs(ref.center_used))
 
 
@@ -1190,7 +1318,7 @@ def _full_order(phi, config, *args):
 
 def _first_main_order(n_first):
     """A ``_main_order`` that builds the first main basis at ``n_first`` terms."""
-    return lambda phi, config, lam: n_first if phi is None else _main_order(phi, config, lam)
+    return lambda phi, config, *args: n_first if phi is None else _main_order(phi, config, *args)
 
 
 @pytest.mark.parametrize("name", ["trivial", "three_pieces"])
@@ -1201,25 +1329,29 @@ def test_validation_is_short_and_matches_full_order(bundled_problem, monkeypatch
     rebuilt = []
     records, orders = _sweep_with_orders(problem, monkeypatch, rebuilt=rebuilt)
     # the start basis grows from 6 terms until its nearest candidate no longer
-    # reads its last coefficient; then one build per eigenvalue (delta = 0):
-    # each validation basis the walk continues from is built at main order
-    # and kept, and the last, kept by nothing, is short
+    # reads its last coefficient; then one build per validation basis (delta
+    # = 0): a basis the walk continues from, or one that accepts a pair, is
+    # built at main order; the first pair takes one build for two eigenvalues
     grown = _grown_from(orders, rebuilt, 0)
     assert grown == [6, 12, 24]
     assert rebuilt == [1, 2]
     walk = orders[len(grown) :]
-    assert len(walk) == len(records)
-    assert all(n <= n_full for n in walk[:-1])
-    assert walk[-1] < n_full
+    assert len(walk) == len(records) - 1
+    assert all(n <= n_full for n in walk)
+    if name == "three_pieces":
+        # the third eigenvalue, validated alone and kept by nothing, is short
+        assert walk[-1] < n_full
 
     # under fixed_center no validation basis is kept: each one is short, and
-    # the main basis, at full order, rereads its rows after each
+    # the main basis, at full order, rereads its rows after each.  The last
+    # two eigenvalues are a pair, validated from one basis at the last
     monkeypatch.setattr(spectral_module, "_main_order", _full_order)
     fixed = with_overrides(problem, policy="fixed_center")
     records, orders = _sweep_with_orders(problem, monkeypatch)
     assert all(n == n_full for n in orders[:-1]) and orders[-1] < n_full
     fixed_records, fixed_orders = _sweep_with_orders(fixed, monkeypatch)
     assert len(fixed_records) == len(records)
+    assert len(fixed_orders) == 2 * (len(fixed_records) - 1)
     assert all(n == n_full for n in fixed_orders[0::2])
     assert all(n < n_full for n in fixed_orders[1::2])
 
@@ -1233,11 +1365,12 @@ def test_validation_is_short_and_matches_full_order(bundled_problem, monkeypatch
     assert set(fixed_ref_orders) == {n_full}
     _assert_same_records(fixed_records, fixed_reference)
 
-    # order 1 is never complete: every short validation is rebuilt at full order
-    monkeypatch.setattr(spectral_module, "_validation_order", lambda phi, config: 1)
+    # order 1 is never complete: every short validation is rebuilt at full
+    # order (one basis for the last two eigenvalues)
+    monkeypatch.setattr(spectral_module, "_validation_order", lambda phi, config, *reach: 1)
     forced, forced_orders = _sweep_with_orders(fixed, monkeypatch)
     shorts = [i for i, n in enumerate(forced_orders) if n == 1]
-    assert len(shorts) == len(forced) and all(forced_orders[i + 1] == n_full for i in shorts)
+    assert len(shorts) == len(forced) - 1 and all(forced_orders[i + 1] == n_full for i in shorts)
     _assert_same_records(forced, fixed_reference)
 
 
@@ -1250,8 +1383,10 @@ def test_main_order_forced_full_matches_default(bundled_problem, monkeypatch, na
     records, orders = _sweep_with_orders(problem, monkeypatch, rebuilt=rebuilt)
     grown = _grown_from(orders, rebuilt, 0)
     assert grown[-1] < n_full  # the first main basis stops short of full order
-    # and so does some later one: a kept validation basis
-    assert any(n < n_full for n in orders[len(grown) : -1])
+    if name == "three_pieces":
+        # and so does a later one: a kept validation basis (trivial's two
+        # eigenvalues are a pair, whose basis ends the walk)
+        assert any(n < n_full for n in orders[len(grown) : -1])
     monkeypatch.setattr(spectral_module, "_main_order", _full_order)
     reference, ref_orders = _sweep_with_orders(problem, monkeypatch)
     assert all(n == n_full for n in ref_orders[:-1])
@@ -1358,7 +1493,10 @@ def test_short_first_main_basis_grows(bundled_problem, monkeypatch, name, n_firs
     assert grown[-1] <= n_full
     # each short set of rows is freed before its growth
     assert alive_orders[: len(grown)] == [[]] * len(grown)
-    _assert_close_records(records, reference)
+    # a basis grown only until its nearest candidate is within reach may not
+    # reach that candidate's partner, so it validates alone an eigenvalue the
+    # full-order basis pairs: the eigenvalues agree, the centers may not
+    _assert_close_eigenvalues(records, reference)
     # the grown basis is the one built at its final order directly
     monkeypatch.setattr(spectral_module, "_main_order", _first_main_order(grown[-1]))
     direct, _ = _sweep_with_orders(problem, monkeypatch)
